@@ -35,7 +35,7 @@ func main() {
 	list := flag.Bool("list", false, "list available families")
 	stats := flag.Bool("stats", false, "print properties instead of the graph")
 	smoke := flag.Bool("smoke", false, "run a 16-round broadcast-and-fold over the graph instead of printing it")
-	sim := flag.String("sim", "stepped", "execution engine for -smoke: goroutine | sharded | stepped")
+	sim := flag.String("sim", "stepped", "execution engine for -smoke: goroutine | stepped")
 	flag.Parse()
 
 	if *list {

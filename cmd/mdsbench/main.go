@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "small instances (used by the test suite)")
 	only := fs.String("only", "", "run a single experiment by ID (e.g. E6)")
-	sim := fs.String("sim", "goroutine", "congest execution engine: goroutine | sharded | stepped")
+	sim := fs.String("sim", "stepped", "congest execution engine: goroutine | stepped")
 	earbScale := fs.Int("earb-scale", 0,
 		"run only the full-size E-arb table at this node count (e.g. 1000000) on the stepped engine")
 	emcdsScale := fs.Int("emcds-scale", 0,

@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", "", "serve any graph file under this directory by relative path")
 	graphBudget := fs.Int64("graph-budget", 0, "resident graph byte budget (0 = unlimited)")
 	cacheBudget := fs.Int64("cache-budget", 64<<20, "certified-solution cache byte budget (0 = unlimited)")
-	sim := fs.String("sim", "stepped", "default congest execution engine: goroutine | sharded | stepped")
+	sim := fs.String("sim", "stepped", "default congest execution engine: goroutine | stepped")
 	graphs := map[string]string{}
 	fs.Func("graph", "preregister a graph as name=path (repeatable; .csrg is memory-mapped)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")

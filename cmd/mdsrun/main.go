@@ -3,9 +3,9 @@
 //
 //	go run ./cmd/mdsrun -family gnp -n 200 -algo thm1.2 -eps 0.5
 //	go run ./cmd/mdsrun -in graph.txt -algo cds
-//	go run ./cmd/mdsrun -in graph.csrg -algo arbmds -sim stepped   (zero-copy mmap)
-//	go run ./cmd/mdsrun -family uforest -n 100000 -algo arbmds -sim stepped
-//	go run ./cmd/mdsrun -family ba -n 100000 -algo mcds -sim stepped
+//	go run ./cmd/mdsrun -in graph.csrg -algo arbmds   (zero-copy mmap)
+//	go run ./cmd/mdsrun -family uforest -n 100000 -algo arbmds
+//	go run ./cmd/mdsrun -family ba -n 100000 -algo mcds
 //	go run ./cmd/mdsrun -family disk -n 150 -algo greedy -v
 //
 // The paper pipeline algorithms (thm1.1, thm1.2/paper, cor1.3, cds) and
@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"algorithm: "+strings.Join(algoNames(), " | ")+" (paper = thm1.2)")
 	eps := fs.Float64("eps", 0.5, "approximation parameter ε")
 	theory := fs.Bool("theory", false, "use the paper's worst-case constants")
-	sim := fs.String("sim", "goroutine", "congest execution engine: goroutine | sharded | stepped")
+	sim := fs.String("sim", "stepped", "congest execution engine: goroutine | stepped")
 	diam := fs.Int("diam", 0,
 		"known diameter upper bound for orientation-phase algorithms (mcds); 0 = 2·ecc+2 from one host-side BFS")
 	deadline := fs.Duration("deadline", 0,

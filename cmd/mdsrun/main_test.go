@@ -98,6 +98,7 @@ func TestExitCodes(t *testing.T) {
 		{"positional-args", []string{"stray"}, 2, "unexpected arguments"},
 		{"unknown-algo", []string{"-algo", "nope"}, 2, "unknown algorithm"},
 		{"unknown-sim", []string{"-sim", "quantum"}, 2, ""},
+		{"removed-sim", []string{"-sim", "sharded"}, 2, "use stepped"},
 		{"unknown-graph-family", []string{"-family", "nope", "-algo", "greedy"}, 1, ""},
 		{"exact-too-big", []string{"-algo", "exact", "-n", "100"}, 2, "n ≤ 64"},
 		{"ckpt-wrong-algo", []string{"-algo", "greedy", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},

@@ -5,7 +5,7 @@
 // against the greedy baseline, and shows the message-passing protocols
 // (leader election, BFS tree, aggregation) running on the same network.
 //
-//	go run ./examples/adhoc [-sim stepped]
+//	go run ./examples/adhoc [-sim goroutine]
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	sim := flag.String("sim", "goroutine", "congest execution engine: goroutine | sharded | stepped")
+	sim := flag.String("sim", "stepped", "congest execution engine: goroutine | stepped")
 	flag.Parse()
 	simEngine, err := congest.ParseEngine(*sim)
 	if err != nil {

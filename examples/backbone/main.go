@@ -2,7 +2,7 @@
 // serves as a virtual backbone — every node is adjacent to the backbone and
 // the backbone is connected, so any two nodes can communicate through it.
 //
-//	go run ./examples/backbone [-sim stepped]
+//	go run ./examples/backbone [-sim goroutine]
 package main
 
 import (
@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	sim := flag.String("sim", "goroutine", "congest execution engine: goroutine | sharded | stepped")
+	sim := flag.String("sim", "stepped", "congest execution engine: goroutine | stepped")
 	flag.Parse()
 	simEngine, err := congest.ParseEngine(*sim)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Quickstart: compute a deterministic dominating set approximation on a
 // random graph and verify the paper's guarantee.
 //
-//	go run ./examples/quickstart [-sim stepped]
+//	go run ./examples/quickstart [-sim goroutine]
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	sim := flag.String("sim", "goroutine", "congest execution engine: goroutine | sharded | stepped")
+	sim := flag.String("sim", "stepped", "congest execution engine: goroutine | stepped")
 	flag.Parse()
 	simEngine, err := congest.ParseEngine(*sim)
 	if err != nil {

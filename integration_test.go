@@ -91,7 +91,7 @@ func TestPropertyRoundingAlwaysFeasible(t *testing.T) {
 	}
 }
 
-// Property: the congest execution engine (goroutine vs sharded scheduler)
+// Property: the congest execution engine (goroutine vs stepped scheduler)
 // is invisible to mds.Solve — for arbitrary random graphs and both
 // derandomization engines, set membership and every cost metric must be
 // identical. This is the pipeline-level face of the determinism contract

@@ -42,7 +42,7 @@ func TestSolveDominatesAllFamilies(t *testing.T) {
 }
 
 // TestSolveCrossEngineIdentical: Solve must return the identical set and
-// metrics on all three engines (native stepped vs blocking adapter).
+// metrics on both engines (native stepped vs blocking adapter).
 func TestSolveCrossEngineIdentical(t *testing.T) {
 	g := graph.UnionForests(300, 3, 11)
 	ref, err := Solve(g, Params{Sim: congest.EngineGoroutine})

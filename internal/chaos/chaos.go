@@ -12,8 +12,8 @@
 // no entropy, no clocks, no per-run state. That is the property the
 // conformance suite leans on — the same Plan must produce byte-identical
 // outcomes (outputs or sentinel class, and honest Metrics) on the
-// goroutine, sharded and stepped engines, in blocking and stepped program
-// forms alike. Plans are immutable after construction and safe for
+// goroutine and stepped engines, in blocking and stepped program forms
+// alike. Plans are immutable after construction and safe for
 // concurrent use from engine workers.
 //
 // Fault sites use the compute-opportunity numbering of congest.Hooks:

@@ -44,12 +44,12 @@ func (a *payloadArena) reset() {
 }
 
 // slotRec is a packed per-edge message slot: 8 bytes instead of the 24-byte
-// slice header the blocking engines' [][]byte buffers spend per slot. The
+// slice header a [][]byte slot buffer spends per slot. The
 // payload bytes live in the sending worker's slotArena; the record is only
 // the (offset, tagged length) pair needed to rematerialize the view.
 //
-// ln encodes presence and length in one field, replacing the blocking
-// engines' nil / emptyMsg sentinels:
+// ln encodes presence and length in one field, with no nil / empty-slice
+// sentinels:
 //
 //	ln == 0   no message (the cleared state; absent slots stay zero)
 //	ln == 1   present but empty (delivered as a nil payload, like every engine)

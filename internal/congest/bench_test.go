@@ -19,10 +19,9 @@ func benchFactory(out []int64, rounds int) StepFactory {
 	return func(nd *Node) StepProgram { return &echoStep{out: out, rounds: rounds} }
 }
 
-// benchEngines runs fn once per engine per GOMAXPROCS setting. The sharded
-// and stepped engines size their shards/workers from GOMAXPROCS at run
-// time, so the sweep measures real scheduler scaling, not b.RunParallel
-// loop parallelism.
+// benchEngines runs fn once per engine per GOMAXPROCS setting. The stepped
+// engine sizes its worker pool from GOMAXPROCS at run time, so the sweep
+// measures real scheduler scaling, not b.RunParallel loop parallelism.
 func benchEngines(b *testing.B, fn func(b *testing.B, eng Engine)) {
 	for _, procs := range []int{1, 4, 8} {
 		for _, eng := range Engines() {
@@ -36,8 +35,8 @@ func benchEngines(b *testing.B, fn func(b *testing.B, eng Engine)) {
 }
 
 // BenchmarkEngine compares the execution engines head-to-head on sparse
-// graphs, including the ≥100k-node torus that motivates the sharded and
-// stepped schedulers. Reported time is per full Run (16 synchronous
+// graphs, including the ≥100k-node torus that motivates the stepped
+// scheduler. Reported time is per full Run (16 synchronous
 // rounds); node-rounds/s is the cross-engine throughput figure.
 func BenchmarkEngine(b *testing.B) {
 	const rounds = 16
@@ -70,12 +69,9 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkEngineBarrier isolates the barrier cost: no messages at all,
-// just synchronous rounds. This is the workload the two-level arrive-wait
-// barrier of the sharded engine targets. The goroutine and sharded engines
-// run the blocking form (each engine's natural shape, and identical to the
-// pre-two-level-barrier benchmark for before/after comparison); the stepped
-// engine runs the silent StepProgram, whose "barrier" is just the worker
-// sweep.
+// just synchronous rounds. The goroutine engine runs the blocking form (its
+// natural shape); the stepped engine runs the silent StepProgram, whose
+// "barrier" is just the worker sweep.
 func BenchmarkEngineBarrier(b *testing.B) {
 	g := graph.Torus(128, 128)
 	const rounds = 32

@@ -10,7 +10,7 @@ import (
 // the first full algorithm under differential test: its blocking form and
 // its native StepProgram form are written independently (counter-based vs
 // per-neighbour bookkeeping), so the suite holding them byte-identical
-// across all three engines checks the algorithm's own protocol, not just
+// across both engines checks the algorithm's own protocol, not just
 // the engines. The output serializes every node's membership bit plus the
 // set size, so any divergence in joins — ordering, tie-breaking, support
 // accounting — changes the bytes.

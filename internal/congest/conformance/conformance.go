@@ -6,9 +6,9 @@
 // corpus of generated graphs, must produce byte-identical outputs and
 // identical round counts and bandwidth metrics on every engine.
 //
-// The suite is what makes engine work safe: a new scheduler (like the
-// sharded engine) is correct exactly when this package cannot tell it apart
-// from the reference goroutine engine.
+// The suite is what makes engine work safe: a scheduler (like the stepped
+// engine) is correct exactly when this package cannot tell it apart from
+// the reference goroutine engine.
 //
 // Run it with:
 //

@@ -13,7 +13,7 @@ import (
 // graphs, under a corpus of fault plans — crashes at interior opportunities,
 // deterministic payload corruption, injected round faults and deterministic
 // deadlines — must stay engine-indistinguishable: same outputs (or same
-// sentinel class) and identical honest metrics across the three engines and
+// sentinel class) and identical honest metrics across both engines and
 // both program forms. Diff does the comparison; this file supplies the
 // schedules.
 

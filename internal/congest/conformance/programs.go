@@ -131,8 +131,8 @@ func buildMixer(g *graph.Graph) (congest.Program, func() []byte) {
 	}
 }
 
-// buildEarlyStop: node v runs v%4+1 rounds then returns, so shards lose
-// members at different times; each node records how many messages it saw in
+// buildEarlyStop: node v runs v%4+1 rounds then returns, so the live set
+// shrinks at different times; each node records how many messages it saw in
 // each round it was alive.
 func buildEarlyStop(g *graph.Graph) (congest.Program, func() []byte) {
 	seen := make([][]int64, g.N())

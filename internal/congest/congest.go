@@ -8,28 +8,24 @@
 // bound and records bandwidth metrics; in the LOCAL model messages are
 // unbounded.
 //
-// Three execution engines implement the same semantics (see Config.Engine):
+// Two execution engines implement the same semantics (see Config.Engine):
 //
 //   - EngineGoroutine: one goroutine per node with a global barrier. The
-//     original engine; simple and adequate for small instances.
-//   - EngineSharded: a sharded, round-driven scheduler that partitions the
-//     nodes across a GOMAXPROCS-sized set of barrier shards and
-//     double-buffers per-edge message slots, so message delivery is a flat
-//     array exchange instead of per-node mutex/condvar traffic. Orders of
-//     magnitude less contention on large graphs.
+//     original engine, kept simple as the reference the other is held to.
 //   - EngineStepped: a stackless worker-pool scheduler for programs written
-//     in the non-blocking StepProgram form. Per-node state is an explicit
-//     struct instead of a goroutine stack, so million-node graphs run in a
-//     few machine words per node; payloads are bump-allocated from a
-//     per-round arena (see Node.PayloadBuf). Blocking Programs still work
-//     under EngineStepped — they fall back to the sharded goroutine-per-node
-//     path, since a blocked goroutine cannot be suspended without its stack.
+//     in the non-blocking StepProgram form, over double-buffered per-edge
+//     message slots. Per-node state is an explicit struct instead of a
+//     goroutine stack, so million-node graphs run in a few machine words
+//     per node; payloads are bump-allocated from a per-round arena (see
+//     Node.PayloadBuf). Blocking Programs still work under EngineStepped —
+//     they fall back to the goroutine engine, since a blocked goroutine
+//     cannot be suspended without its stack.
 //
 // Determinism: inboxes are sorted by port, programs may not use any entropy
 // source, and no engine introduces any, so the outcome of a run is a
 // pure function of the graph, the IDs and the program — independent of the
 // engine and of goroutine scheduling. The conformance suite
-// (internal/congest/conformance) enforces this cross-engine: all engines
+// (internal/congest/conformance) enforces this cross-engine: both engines
 // must produce byte-identical outputs and identical metrics on a corpus of
 // graphs, for blocking programs and their stepped variants alike.
 //
@@ -135,17 +131,13 @@ const (
 	// EngineGoroutine runs one goroutine per node with a global
 	// mutex/condvar barrier (the original engine). The zero value.
 	EngineGoroutine Engine = iota
-	// EngineSharded partitions nodes across a fixed GOMAXPROCS-sized set of
-	// barrier shards and double-buffers per-edge message slots; delivery is
-	// a flat array exchange with no per-message locking or sorting.
-	EngineSharded
 	// EngineStepped drives StepPrograms with a GOMAXPROCS-sized worker pool
-	// over the sharded CSR slot layout: no per-node goroutine, no condvar
-	// parking, message slots packed into 8-byte {offset, length} records
-	// over per-worker byte arenas (a third of the [][]byte slot memory, and
-	// invisible to the GC), payloads bump-allocated and recycled without
-	// per-send allocation. Blocking Programs fall back to the sharded
-	// goroutine-per-node path.
+	// over a CSR layout of per-edge message slots: no per-node goroutine, no
+	// condvar parking, message slots packed into 8-byte {offset, length}
+	// records over per-worker byte arenas (a third of the [][]byte slot
+	// memory, and invisible to the GC), payloads bump-allocated and recycled
+	// without per-send allocation. Blocking Programs fall back to the
+	// goroutine engine.
 	EngineStepped
 )
 
@@ -154,8 +146,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineGoroutine:
 		return "goroutine"
-	case EngineSharded:
-		return "sharded"
 	case EngineStepped:
 		return "stepped"
 	}
@@ -167,16 +157,16 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "goroutine":
 		return EngineGoroutine, nil
-	case "sharded":
-		return EngineSharded, nil
 	case "stepped":
 		return EngineStepped, nil
+	case "sharded":
+		return 0, fmt.Errorf("%w: engine %q was removed; use stepped", ErrConfig, s)
 	}
-	return 0, fmt.Errorf("%w: unknown engine %q (want goroutine, sharded or stepped)", ErrConfig, s)
+	return 0, fmt.Errorf("%w: unknown engine %q (want goroutine or stepped)", ErrConfig, s)
 }
 
 // Engines lists all engines (used by differential tests and benchmarks).
-func Engines() []Engine { return []Engine{EngineGoroutine, EngineSharded, EngineStepped} }
+func Engines() []Engine { return []Engine{EngineGoroutine, EngineStepped} }
 
 // Config parameterizes a Network. The zero value selects the CONGEST model
 // with the goroutine engine, the default bandwidth factor and round limit.
@@ -240,7 +230,7 @@ type Network struct {
 	// on every message (see BenchmarkNodeSend).
 	bwBits int
 
-	// topo is the CSR slot layout used by the sharded engine, built lazily
+	// topo is the CSR slot layout used by the stepped engine, built lazily
 	// once per Network and shared across runs.
 	topoOnce sync.Once
 	topo     *topology
@@ -475,18 +465,12 @@ type runError struct{ err error }
 
 // Run executes prog on every node until all nodes return. It returns the
 // collected metrics. Any simulator violation (bandwidth, bad port) or panic
-// inside a program aborts the run with an error. The engine is selected by
-// Config.Engine; all engines produce identical results and metrics. A
-// blocking Program needs a goroutine stack per node while parked at Sync, so
-// under EngineStepped it falls back to the sharded goroutine-per-node
-// scheduler; only StepPrograms (see RunStepped) execute stacklessly.
+// inside a program aborts the run with an error. A blocking Program needs a
+// goroutine stack per node while parked at Sync, so it runs on the goroutine
+// engine whatever Config.Engine says; only StepPrograms (see RunStepped)
+// execute stacklessly under EngineStepped.
 func (net *Network) Run(prog Program) (Metrics, error) {
-	switch net.cfg.Engine {
-	case EngineSharded, EngineStepped:
-		return net.runSharded(prog)
-	default:
-		return net.runGoroutine(prog)
-	}
+	return net.runGoroutine(prog)
 }
 
 // recoverNode converts a panic inside a node's program into the run failure

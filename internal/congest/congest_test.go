@@ -10,7 +10,7 @@ import (
 )
 
 // forEachEngine runs the test body once per execution engine, so every
-// semantics test below covers both the goroutine and the sharded engine.
+// semantics test below covers both the goroutine and the stepped engine.
 func forEachEngine(t *testing.T, fn func(t *testing.T, eng Engine)) {
 	for _, eng := range Engines() {
 		t.Run(eng.String(), func(t *testing.T) { fn(t, eng) })
@@ -24,9 +24,8 @@ func TestModelString(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if EngineGoroutine.String() != "goroutine" || EngineSharded.String() != "sharded" ||
-		EngineStepped.String() != "stepped" {
-		t.Errorf("engine names wrong: %v %v %v", EngineGoroutine, EngineSharded, EngineStepped)
+	if EngineGoroutine.String() != "goroutine" || EngineStepped.String() != "stepped" {
+		t.Errorf("engine names wrong: %v %v", EngineGoroutine, EngineStepped)
 	}
 	if Engine(99).String() == "" {
 		t.Error("unknown engine must still render")
@@ -38,16 +37,20 @@ func TestParseEngine(t *testing.T) {
 		in   string
 		want Engine
 		ok   bool
+		hint string // substring a rejection must carry
 	}{
-		{"", EngineGoroutine, true},
-		{"goroutine", EngineGoroutine, true},
-		{"sharded", EngineSharded, true},
-		{"stepped", EngineStepped, true},
-		{"warp", 0, false},
+		{"", EngineGoroutine, true, ""},
+		{"goroutine", EngineGoroutine, true, ""},
+		{"stepped", EngineStepped, true, ""},
+		{"warp", 0, false, "want goroutine or stepped"},
+		{"sharded", 0, false, "use stepped"},
 	} {
 		got, err := ParseEngine(tt.in)
 		if (err == nil) != tt.ok || got != tt.want {
 			t.Errorf("ParseEngine(%q) = (%v, %v), want (%v, ok=%v)", tt.in, got, err, tt.want, tt.ok)
+		}
+		if err != nil && (!errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tt.hint)) {
+			t.Errorf("ParseEngine(%q) error %q: want ErrConfig naming %q", tt.in, err, tt.hint)
 		}
 	}
 }

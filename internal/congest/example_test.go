@@ -40,7 +40,7 @@ func (f *floodExample) Step(nd *congest.Node, r int, in []congest.Incoming) bool
 
 // ExampleNetwork_RunStepped runs a StepProgram natively on the stackless
 // stepped engine; the same factory produces identical results and metrics
-// on the goroutine and sharded engines via the blocking adapter.
+// on the goroutine engine via the blocking adapter.
 func ExampleNetwork_RunStepped() {
 	g := graph.Path(4)
 	dist := make([]int, g.N())

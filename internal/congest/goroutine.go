@@ -10,7 +10,7 @@ import (
 // goroutineEngine is the original engine: one goroutine per node, a global
 // mutex-protected barrier, and per-node pending inboxes. Simple, but every
 // Sync serializes on one mutex and every round sorts every inbox, which
-// dominates wall-clock time on large graphs (see EngineSharded).
+// dominates wall-clock time on large graphs (see EngineStepped).
 type goroutineEngine struct {
 	net      *Network
 	nodes    []*Node
@@ -75,7 +75,7 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 	}
 	wg.Wait()
 	// Failed runs report how far they got (Rounds, AvgMsgBits) instead of
-	// zeroes; all three engines populate the failure path identically.
+	// zeroes; both engines populate the failure path identically.
 	eng.metrics.Rounds = eng.round
 	if eng.metrics.Messages > 0 {
 		eng.metrics.AvgMsgBits = float64(eng.metrics.Bits) / float64(eng.metrics.Messages)

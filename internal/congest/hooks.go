@@ -22,7 +22,7 @@ var (
 )
 
 // Hooks intercepts engine events for fault injection (see internal/chaos).
-// All three engines call each hook at semantically identical points, so a
+// Both engines call each hook at semantically identical points, so a
 // deterministic implementation yields byte-identical outcomes — outputs,
 // sentinel class and Metrics — on every engine and in both program forms;
 // the conformance suite enforces exactly that.
@@ -96,7 +96,7 @@ func (net *Network) runDeadline() time.Time {
 	return time.Now().Add(net.cfg.Deadline)
 }
 
-// checkRound is the shared round-boundary stop check, called by all three
+// checkRound is the shared round-boundary stop check, called by both
 // engines at their delivery point after incrementing the round counter. The
 // check order — MaxRounds, injected round faults, context cancellation,
 // wall-clock deadline — is fixed so engines agree on the sentinel when

@@ -45,8 +45,8 @@ type Observer interface {
 // delivery point, so the final RoundEnd of a healthy run carries exactly
 // the run's Metrics traffic. Live is the engine's count of nodes still
 // participating at the delivery and is the one engine-flavoured field: the
-// goroutine and sharded engines count nodes whose programs have not
-// returned, the stepped engine counts nodes whose last Step returned
+// goroutine engine counts nodes whose programs have not returned, the
+// stepped engine counts nodes whose last Step returned
 // not-done — equal in steady state, but a node that returns right after
 // its last Sync is counted by the former and not the latter.
 type RoundStats struct {
@@ -129,14 +129,9 @@ const (
 	// Round after claiming Value chunks (the per-worker steal count; the
 	// spread across workers shows how uneven the round's work was).
 	EvSweepEnd
-	// EvShardArrive: sharded engine — barrier shard Node became full (its
-	// last node arrived). The gap between a shard's arrival stamp and the
-	// round's delivery stamp is that shard's barrier wait. Round is -1:
-	// the emitter is outside the engine's locks.
-	EvShardArrive
 	// EvWake: goroutine engine, per round — Value is the number of parked
-	// node goroutines the delivery woke (the condvar pressure the sharded
-	// engine's per-shard channels were built to shed).
+	// node goroutines the delivery woke (the condvar pressure the stepped
+	// engine's worker pool avoids).
 	EvWake
 )
 
@@ -153,8 +148,6 @@ func (k EventKind) String() string {
 		return "sweep-start"
 	case EvSweepEnd:
 		return "sweep-end"
-	case EvShardArrive:
-		return "shard-arrive"
 	case EvWake:
 		return "wake"
 	}
@@ -165,7 +158,7 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind   EventKind
 	Round  int    // round the event belongs to; -1 = the round in progress
-	Node   int    // node, worker or shard index; -1 when not applicable
+	Node   int    // node or worker index; -1 when not applicable
 	Value  int64  // kind-specific magnitude (bytes, chunks, goroutines)
 	Detail string // kind-specific description (fault rendering); usually empty
 }

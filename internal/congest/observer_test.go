@@ -108,8 +108,8 @@ func checkObs(t *testing.T, o *countObs, m Metrics) {
 }
 
 // TestObserverEngineEvents pins each engine's scheduler events: wake
-// counts from the goroutine engine, shard arrivals from the sharded one,
-// sweep spans and arena levels from the stepped one.
+// counts from the goroutine engine, sweep spans and arena levels from the
+// stepped one.
 func TestObserverEngineEvents(t *testing.T) {
 	g := graph.GNPConnected(48, 0.12, 11)
 	runWith := func(eng Engine) *countObs {
@@ -122,9 +122,6 @@ func TestObserverEngineEvents(t *testing.T) {
 	}
 	if o := runWith(EngineGoroutine); o.kinds[EvWake] == 0 {
 		t.Error("goroutine engine emitted no EvWake")
-	}
-	if o := runWith(EngineSharded); o.kinds[EvShardArrive] == 0 {
-		t.Error("sharded engine emitted no EvShardArrive")
 	}
 	o := runWith(EngineStepped)
 	if o.kinds[EvArena] == 0 {

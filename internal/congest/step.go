@@ -37,9 +37,9 @@ type StepFactory func(nd *Node) StepProgram
 
 // BlockingFromStep adapts a StepFactory to the blocking Program API, so
 // stepped programs run unchanged — with identical outputs and metrics — on
-// the goroutine-per-node engines. This is the adapter behind RunStepped's
+// the goroutine engine. This is the adapter behind RunStepped's
 // engine dispatch and the lever the conformance suite uses to hold the
-// stepped program corpus byte-identical across all engines.
+// stepped program corpus byte-identical across both engines.
 func BlockingFromStep(f StepFactory) Program {
 	return func(nd *Node) {
 		sp := f(nd)
@@ -57,8 +57,8 @@ func BlockingFromStep(f StepFactory) Program {
 
 // RunStepped executes the stepped program built by f on every node until all
 // nodes are done, returning the collected metrics. Under EngineStepped the
-// run is stackless: a GOMAXPROCS-sized worker pool drives all nodes over the
-// sharded CSR message slots, so memory per node is the program's own state
+// run is stackless: a GOMAXPROCS-sized worker pool drives all nodes over
+// CSR-laid-out message slots, so memory per node is the program's own state
 // struct plus a few machine words — no goroutine stacks. Under the other
 // engines the program is adapted to blocking form and produces identical
 // results, which is what makes porting a Program to a StepProgram a pure

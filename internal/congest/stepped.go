@@ -24,8 +24,8 @@ import (
 //	  call Init / Step                          (the node's compute)
 //	  deposit the outbox into the write records (unique-writer array stores)
 //
-// then the driver flips the double-buffered record array by round parity —
-// the same CSR layout the sharded engine uses — and the next sweep begins.
+// then the engine flips the double-buffered record array (one record per
+// directed edge, in CSR order) by round parity and the next sweep begins.
 // There is no barrier protocol at all: the sweep IS the round, so the only
 // synchronization is one WaitGroup arrive/wait per round for the whole
 // pool, not per node.
@@ -41,13 +41,13 @@ import (
 // metrics stay byte-identical for every worker count and interleaving (the
 // conformance suite and TestSteppedStealingDeterminism enforce this).
 //
-// Message slots are packed slotRecs (8 bytes) instead of the blocking
-// engines' 24-byte slice headers: a deposit copies the payload bytes into
-// the sending chunk's three-generation slotArena and stores the (offset,
-// tagged length) pair; collect rematerializes the []byte view over the
-// arena bytes. Halving-and-then-some the per-edge delivery state is what
-// keeps million-node graphs in bounded memory, and the record arrays are
-// pointer-free, so the GC never scans them (the [][]byte layout made it
+// Message slots are packed slotRecs (8 bytes) instead of 24-byte []byte
+// slice headers: a deposit copies the payload bytes into the sending
+// chunk's three-generation slotArena and stores the (offset, tagged length)
+// pair; collect rematerializes the []byte view over the arena bytes.
+// Halving-and-then-some the per-edge delivery state is what keeps
+// million-node graphs in bounded memory, and the record arrays are
+// pointer-free, so the GC never scans them (a [][]byte layout makes it
 // walk 8 M slice headers per cycle on a million-node torus).
 //
 // Memory per node is the Node struct, the interface value of its
@@ -56,8 +56,8 @@ import (
 // are bump-allocated from the sweeping worker's scratch arena and recycled
 // without GC traffic.
 //
-// Semantics are identical to the blocking engines; the conformance suite
-// runs the stepped program corpus on all three engines and requires
+// Semantics are identical to the goroutine engine; the conformance suite
+// runs the stepped program corpus on both engines and requires
 // byte-identical outputs and metrics — on failed runs too.
 
 // errSyncInStep reports a StepProgram calling Node.Sync.
@@ -76,6 +76,92 @@ const minChunkNodes = 256
 // slow chunk can be compensated by the other workers. 8 balances steal
 // granularity against per-chunk overhead.
 const chunksPerWorker = 8
+
+// topology is the CSR slot layout of a graph, shared by every stepped run
+// on the same Network.
+type topology struct {
+	// inOff[v]..inOff[v+1] are node v's inbox slots, one per port, in port
+	// order. The same range indexes v's out-edges: out-edge (v, port p) is
+	// entry inOff[v]+p of destSlot.
+	inOff []int32
+	// destSlot[inOff[v]+p] is the inbox slot of the neighbour on v's port p,
+	// i.e. inOff[u]+q where u is that neighbour and q is the port of v at u.
+	destSlot []int32
+}
+
+func buildTopology(net *Network) *topology {
+	g := net.g
+	n := g.N()
+	t := &topology{inOff: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		t.inOff[v+1] = t.inOff[v] + int32(g.Degree(v))
+	}
+	t.destSlot = make([]int32, 2*g.M())
+	for u := 0; u < n; u++ {
+		for q, w := range g.Neighbors(u) {
+			v := int(w)
+			p := portOf(g, v, u) // u sits on port p of v
+			t.destSlot[t.inOff[v]+int32(p)] = t.inOff[u] + int32(q)
+		}
+	}
+	return t
+}
+
+// topology returns the Network's cached CSR slot layout, building it on
+// first use.
+func (net *Network) topology() *topology {
+	net.topoOnce.Do(func() { net.topo = buildTopology(net) })
+	return net.topo
+}
+
+// depositOutboxPacked is the stepped engine's deposit: payload bytes are
+// copied into the depositing worker's slotArena and each slot gets a packed
+// {offset, tagged length} record — 8 bytes per slot in each parity
+// buffer. The tagged length (slotRec) marks absent and present-but-empty
+// messages. The metrics accounting must match the goroutine engine's
+// deposit exactly: the cross-engine byte-identity contract depends on the
+// two never diverging (the conformance suite compares the metrics of every
+// run, failed runs included).
+// ok is false when the arena outgrew the records' 32-bit offset range; the
+// caller must fail the run (records past the limit hold wrapped offsets,
+// but the failure stops the round from being delivered, so no reader sees
+// them).
+func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, arena *slotArena, phase int, hist *MsgHist) (msgs, bitsSum int64, maxB int, ok bool) {
+	base := t.inOff[v]
+	// The generation slice is carried through the loop and stored back once:
+	// an outbox-grained push, not a per-message one.
+	g := arena.gens[phase%3]
+	// Broadcast queues one payload slice on every port; records are views,
+	// so the bytes go into the arena once and the ports share the offset.
+	var prev []byte
+	var prevOff uint32
+	for _, m := range outbox {
+		rec := slotRec{ln: 1} // present but empty (Send canonicalized it to nil)
+		if n := len(m.payload); n > 0 {
+			if len(prev) == n && &prev[0] == &m.payload[0] {
+				rec.off = prevOff
+			} else {
+				rec.off = uint32(len(g))
+				g = append(g, m.payload...)
+				prev, prevOff = m.payload, rec.off
+			}
+			rec.ln = uint32(n) + 1
+		}
+		recs[t.destSlot[base+int32(m.port)]] = rec
+		msgs++
+		b := len(m.payload) * 8
+		bitsSum += int64(b)
+		if b > maxB {
+			maxB = b
+		}
+		if hist != nil {
+			hist.observe(len(m.payload))
+		}
+	}
+	arena.gens[phase%3] = g
+	ok = int64(len(g)) <= slotPayloadLimit
+	return
+}
 
 // steppedChunk owns a contiguous node range and everything a sweep of that
 // range mutates. Exactly one worker processes a chunk per round (the claim
@@ -123,7 +209,7 @@ type steppedEngine struct {
 	fp       uint32    // graph fingerprint; computed only for checkpointed runs
 	// recs[(round+1)&1] is the write record array during the current sweep;
 	// recs[round&1] holds the records being delivered from it. 8 B per
-	// directed edge per parity, vs 24 B for the blocking engines' [][]byte.
+	// directed edge per parity, vs 24 B for a [][]byte slot array.
 	recs      [2][]slotRec
 	chunkSize int // nodes per chunk; node v belongs to chunks[v/chunkSize]
 	nodes     []Node

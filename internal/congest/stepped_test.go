@@ -369,8 +369,8 @@ func TestSlotArenaGenerations(t *testing.T) {
 	}
 }
 
-// TestSlotRecEncoding pins the tagged empty/absent encoding that replaces
-// the [][]byte path's nil/emptyMsg sentinels: a cleared record is absent,
+// TestSlotRecEncoding pins the tagged empty/absent encoding of slot
+// records: a cleared record is absent,
 // ln==1 is a present-but-empty message (delivered nil), ln==k+1 carries k
 // bytes — exercised end to end through a deposit/collect round-trip.
 func TestSlotRecEncoding(t *testing.T) {

@@ -54,11 +54,8 @@ func TestExperimentsEngineInvariant(t *testing.T) {
 			continue
 		}
 		ref := run(congest.EngineGoroutine, exp.fn)
-		for _, eng := range []congest.Engine{congest.EngineSharded, congest.EngineStepped} {
-			got := run(eng, exp.fn)
-			if ref != got {
-				t.Errorf("%s diverges across congest engines:\n--- goroutine\n%s\n--- %v\n%s", exp.name, ref, eng, got)
-			}
+		if got := run(congest.EngineStepped, exp.fn); ref != got {
+			t.Errorf("%s diverges across congest engines:\n--- goroutine\n%s\n--- stepped\n%s", exp.name, ref, got)
 		}
 	}
 }

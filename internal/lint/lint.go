@@ -60,8 +60,8 @@ func Deterministic(pkgName string) bool { return deterministicPkgs[pkgName] }
 
 // Suite returns the full detlint analyzer suite in reporting order: the
 // five repo-specific invariant checkers followed by the stdlib-adjacent
-// passes (offline re-implementations of the x/tools copylocks/lostcancel
-// checks and a sound subset of nilness).
+// passes (an offline re-implementation of the x/tools lostcancel check and
+// a sound subset of nilness). Stock go vet's copylocks covers lock copies.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		MapOrder,
@@ -69,7 +69,6 @@ func Suite() []*analysis.Analyzer {
 		PayloadAlias,
 		UnsafeGuard,
 		Sentinel,
-		CopyLocks,
 		LostCancel,
 		Nilness,
 	}

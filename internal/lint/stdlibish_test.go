@@ -7,14 +7,6 @@ import (
 	"congestds/internal/lint/linttest"
 )
 
-// TestCopyLocks pins the offline copylocks stand-in: assignments, call
-// arguments, by-value receivers and range clauses that copy
-// lock-containing values are findings; pointers, composite literals and
-// index-form ranges are not.
-func TestCopyLocks(t *testing.T) {
-	linttest.Run(t, "testdata", lint.CopyLocks, "copylocks")
-}
-
 // TestLostCancel pins the offline lostcancel stand-in: a context cancel
 // function assigned to _ (or only ever blank-discarded) is a finding;
 // deferring, returning or otherwise using it is not.

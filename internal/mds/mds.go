@@ -79,12 +79,11 @@ type Params struct {
 	// so ~log₂Δ phases suffice). Zero means 64.
 	MaxPhases int
 	// Sim selects the congest execution engine that simulates the measured
-	// phases (congest.EngineGoroutine, congest.EngineSharded or
-	// congest.EngineStepped; the Part I covering program is written in
-	// stepped form, so under EngineStepped it runs with no per-node
-	// goroutine). The engine never changes results or round counts — the
-	// conformance suite holds the engines byte-identical — only wall-clock
-	// speed and memory. Zero means congest.EngineGoroutine.
+	// phases (congest.EngineGoroutine or congest.EngineStepped; the Part I
+	// covering program is written in stepped form, so under EngineStepped it
+	// runs with no per-node goroutine). The engine never changes results or
+	// round counts — the conformance suite holds the engines byte-identical
+	// — only wall-clock speed and memory. Zero means congest.EngineGoroutine.
 	Sim congest.Engine
 	// Ctx, when non-nil, cancels the pipeline's simulated runs at round
 	// boundaries (congest.ErrDeadline). One context bounds the whole

@@ -117,14 +117,14 @@ func TestEventRoundAttribution(t *testing.T) {
 	agg := NewAggregator()
 	r := NewRecorder(sinkFunc{onEvent: func(e EventRec) { got = append(got, e) }}, agg)
 	r.RoundStart(1)
-	r.Event(congest.Event{Kind: congest.EvShardArrive, Round: -1, Node: 2})
+	r.Event(congest.Event{Kind: congest.EvWake, Round: -1, Node: 2})
 	r.RoundEnd(congest.RoundStats{Round: 1})
 	r.Event(congest.Event{Kind: congest.EvCkpt, Round: -1})
 	r.Event(congest.Event{Kind: congest.EvArena, Round: 7, Value: 9})
 	if len(got) != 3 {
 		t.Fatalf("got %d events, want 3", len(got))
 	}
-	if got[0].Round != 1 || got[0].Kind != "shard-arrive" {
+	if got[0].Round != 1 || got[0].Kind != "wake" {
 		t.Errorf("open-round event = %+v, want round 1", got[0])
 	}
 	if got[1].Round != 1 {

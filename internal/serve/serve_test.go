@@ -149,6 +149,7 @@ func TestRealRequestFailurePaths(t *testing.T) {
 		{"bad eps", "/solve?graph=g&algo=arbmds&eps=abc", http.StatusBadRequest, "config"},
 		{"negative eps", "/solve?graph=g&algo=arbmds&eps=-1", http.StatusBadRequest, "config"},
 		{"bad sim", "/solve?graph=g&algo=arbmds&sim=bogus", http.StatusBadRequest, "config"},
+		{"removed sim", "/solve?graph=g&algo=arbmds&sim=sharded", http.StatusBadRequest, "config"},
 		{"bad maxrounds", "/solve?graph=g&algo=arbmds&maxrounds=-2", http.StatusBadRequest, "config"},
 		{"bad diam", "/solve?graph=g&algo=arbmds&diam=x", http.StatusBadRequest, "config"},
 		{"bad deadline", "/solve?graph=g&algo=arbmds&deadline=banana", http.StatusBadRequest, "config"},
