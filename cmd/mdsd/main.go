@@ -1,14 +1,15 @@
 // mdsd is the resident graph-serving daemon: it loads graphs once (heap
 // or zero-copy memory-mapped .csrg), keeps them resident behind a
 // byte-budgeted LRU, and answers dominating-set queries over HTTP by
-// dispatching through the algorithm-family registry. Concurrent identical
-// requests coalesce into one engine run and certified results are cached,
-// so a fleet of clients querying the same graph pays for one solve.
+// dispatching through the algorithm-family registry (every mdsrun -algo
+// name but the greedy and exact baselines). Concurrent identical requests
+// coalesce into one engine run and certified results are cached, so a
+// fleet of clients querying the same graph pays for one solve.
 //
 //	go run ./cmd/mdsd -graph web=web.csrg -graph road=road.txt
 //	go run ./cmd/mdsd -dir graphs/ -addr :8080 -graph-budget 2147483648
 //
-//	curl 'localhost:8080/solve?graph=web&algo=arbmds&eps=0.5'
+//	curl 'localhost:8080/solve?graph=web&algo=thm1.2&eps=0.5&deadline=30s'
 //	curl 'localhost:8080/certify?graph=web&algo=mcds'
 //	curl 'localhost:8080/graphs'
 //	curl 'localhost:8080/stats'

@@ -8,11 +8,13 @@
 //	go run ./cmd/mdsrun -family ba -n 100000 -algo mcds
 //	go run ./cmd/mdsrun -family disk -n 150 -algo greedy -v
 //
-// The paper pipeline algorithms (thm1.1, thm1.2/paper, cor1.3, cds) and
-// the host-level baselines (greedy, exact) are dispatched here; every
-// other -algo value is looked up in the algorithm-family registry
-// (internal/family: arbmds, mcds, ...), which carries its own
-// certificates. Unknown names get an error listing every valid algorithm.
+// Every -algo value resolves to a family.Family and runs through one
+// solve → certify → report path: the distributed algorithms come from the
+// algorithm-family registry (internal/family: the paper's thm1.1,
+// thm1.2 alias paper, cor1.3 and cds, plus arbmds, mcds, ...), the same
+// names cmd/mdsd serves; the host-level baselines greedy and exact are
+// local, unregistered families. Unknown names get an error listing every
+// valid algorithm.
 //
 // Exit codes are scripting API, pinned by TestExitCodes:
 //
@@ -20,7 +22,8 @@
 //	1  run failure (graph unavailable, simulation aborted, ...); when the
 //	   failure maps to an engine sentinel, a final "sentinel <class>" line
 //	   on stderr names it (deadline, bandwidth, bad-ckpt, ...)
-//	2  usage error (bad flags, unknown algorithm/engine, invalid combination)
+//	2  usage error (bad flags, unknown algorithm/engine, invalid combination,
+//	   or a solve rejecting its parameters with the "config" sentinel class)
 //	3  certification violation: the run completed but its output failed
 //	   the certificate — a bug, never a usage or environment problem
 package main
@@ -30,21 +33,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 
 	"congestds/internal/baseline"
-	"congestds/internal/cds"
 	"congestds/internal/congest"
 	"congestds/internal/family"
 	"congestds/internal/graph"
-	"congestds/internal/mds"
 	"congestds/internal/obs"
-	"congestds/internal/verify"
 )
 
 // Exit codes (see the package comment).
@@ -55,16 +55,37 @@ const (
 	exitCertify = 3
 )
 
-// builtinAlgos are the -algo values dispatched in run's switch; every
-// other value is looked up in the family registry. thm1.2 and paper are
-// aliases.
-var builtinAlgos = []string{"paper", "thm1.1", "thm1.2", "cor1.3", "cds", "greedy", "exact"}
+// baselines are the host-level reference algorithms. They run through the
+// same tail as the registered families but stay unregistered, so mdsd
+// never serves them: baseline.Exact is exponential and never checks a
+// context, so one request could pin a core past any deadline.
+var baselines = map[string]family.Family{
+	"greedy": {
+		Name: "greedy",
+		Solve: func(g *graph.Graph, _ family.Params) (*family.Result, error) {
+			set := baseline.Greedy(g) // H(Δ+1) ≤ 1+ln(Δ+1) [Joh74]
+			return &family.Result{Set: set, Cert: family.CertifyDS(g, set, 1+math.Log(float64(g.MaxDegree()+1)), false)}, nil
+		},
+	},
+	"exact": {
+		Name: "exact",
+		Solve: func(g *graph.Graph, _ family.Params) (*family.Result, error) {
+			if g.N() > 64 {
+				return nil, fmt.Errorf("%w: exact solver is for n ≤ 64 (got %d)", congest.ErrConfig, g.N())
+			}
+			set := baseline.Exact(g)
+			return &family.Result{Set: set, Cert: family.CertifyDS(g, set, 1, false)}, nil
+		},
+	},
+}
 
-// algoNames returns every valid -algo value, sorted: the builtins plus the
-// registered algorithm families.
+// algoNames returns every valid -algo value, sorted: the registered
+// algorithm families plus the baselines.
 func algoNames() []string {
-	names := append([]string(nil), builtinAlgos...)
-	names = append(names, family.Names()...)
+	names := family.Names()
+	for name := range baselines {
+		names = append(names, name)
+	}
 	sort.Strings(names)
 	return names
 }
@@ -115,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	algo := fs.String("algo", "thm1.2",
 		"algorithm: "+strings.Join(algoNames(), " | ")+" (paper = thm1.2)")
 	eps := fs.Float64("eps", 0.5, "approximation parameter ε")
-	theory := fs.Bool("theory", false, "use the paper's worst-case constants")
 	sim := fs.String("sim", "stepped", "congest execution engine: goroutine | stepped")
 	diam := fs.Int("diam", 0,
 		"known diameter upper bound for orientation-phase algorithms (mcds); 0 = 2·ecc+2 from one host-side BFS")
@@ -144,12 +164,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(stderr, "%v", err)
 	}
-	isBuiltin := false
-	for _, b := range builtinAlgos {
-		isBuiltin = isBuiltin || b == *algo
-	}
-	var fam family.Family
-	if !isBuiltin {
+	fam, ok := baselines[*algo]
+	if !ok {
 		if fam, err = family.Get(*algo); err != nil {
 			return usage(stderr, "%v", unknownAlgoErr(*algo))
 		}
@@ -159,9 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *ckptEvery < 1 {
 		return usage(stderr, "-ckpt-every must be >= 1 (got %d)", *ckptEvery)
-	}
-	if *algo == "exact" && *in == "" && *n > 64 {
-		return usage(stderr, "exact solver is for n ≤ 64 (got %d)", *n)
 	}
 
 	// One budget for the whole solve: -deadline becomes a context shared by
@@ -190,11 +203,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "graph: %v\n", g)
 
-	preset := mds.Practical
-	if *theory {
-		preset = mds.Theory
+	params := family.Params{
+		Eps: *eps, Sim: simEngine, DiamBound: *diam,
+		Ctx: ctx, CkptPath: *ckpt, CkptEvery: *ckptEvery,
 	}
-	params := mds.Params{Eps: *eps, Preset: preset, Sim: simEngine, Ctx: ctx}
 
 	// Telemetry: one Recorder fans the run out to every requested sink.
 	// Attaching it never changes the solve (the conformance suite pins
@@ -235,46 +247,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	defer closeTrace()
-	// report prints the profile (and the wall-annotated ledger, when the
-	// pipeline kept one) on the success paths.
-	report := func(led *congest.Ledger) {
-		if rec == nil {
-			return
-		}
-		if led != nil {
-			obs.FillLedgerWall(led, rec)
-		}
-		closeTrace()
-		if agg != nil {
-			fmt.Fprint(stdout, agg.Profile())
-			if led != nil {
-				fmt.Fprintf(stdout, "ledger: %v\n", led)
-			}
-		}
-	}
 
-	// The CPU profile brackets the solve alone: started after graph load,
-	// stopped (via stopCPU at each solve's return) before verification and
-	// reporting; the defer is the backstop on failure exits.
-	stopCPU := func() {}
-	if *pprofCPU != "" {
-		f, err := os.Create(*pprofCPU)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fail(stderr, err)
-		}
-		var once sync.Once
-		stopCPU = func() {
-			once.Do(func() {
-				pprof.StopCPUProfile()
-				f.Close()
-			})
-		}
-		defer stopCPU()
-	}
 	if *pprofHeap != "" {
 		f, err := os.Create(*pprofHeap)
 		if err != nil {
@@ -289,99 +262,67 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	var set []int
-	var rounds int
-	var led *congest.Ledger
-	bound := 0.0
-	switch *algo {
-	case "thm1.1", "thm1.2", "paper", "cor1.3":
-		switch *algo {
-		case "thm1.1":
-			params.Engine = mds.EngineDecomposition
-		case "cor1.3":
-			params.Engine = mds.EngineColoringLocal
-		default:
-			params.Engine = mds.EngineColoring
-		}
-		res, err := mds.Solve(g, params)
-		stopCPU()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		set, rounds, bound, led = res.Set, res.Ledger.Metrics().TotalRounds(), res.Bound, res.Ledger
-	case "cds":
-		res, err := cds.Solve(g, cds.Params{MDS: params})
-		stopCPU()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		set, rounds, bound, led = res.CDS, res.Ledger.Metrics().TotalRounds(), res.Bound, res.Ledger
-		if err := verify.CheckCDS(g, set); err != nil {
-			return violation(stderr, "invalid CDS: %v", err)
-		}
-		fmt.Fprintf(stdout, "underlying dominating set: %d nodes, %d cluster centres\n",
-			len(res.DS), len(res.RulingSet))
-	case "greedy":
-		set = baseline.Greedy(g)
-	case "exact":
-		if g.N() > 64 {
-			return usage(stderr, "exact solver is for n ≤ 64 (got %d)", g.N())
-		}
-		set = baseline.Exact(g)
-	default:
-		diamBound := *diam
-		if diamBound == 0 && fam.NeedsDiam {
-			// One host-side BFS; only paid for families that run an
-			// orientation phase.
-			diamBound = 2*g.Eccentricity(0) + 2
-		}
-		res, err := fam.Solve(g, family.Params{
-			Eps: *eps, Sim: simEngine, DiamBound: diamBound,
-			Ctx: ctx, CkptPath: *ckpt, CkptEvery: *ckptEvery,
-			Observer: params.Observer,
-		})
-		stopCPU()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		// The family certificate covers the generic tail below (domination
-		// check + dual-packing LB) plus the family's own claim, so it is the
-		// only verification pass — at 10⁶ nodes a second one would double
-		// the post-solve wall-clock.
-		if !res.Cert.Passed() {
-			return violation(stderr, "%s output failed its certificate (bug): %v", *algo, res.Cert)
-		}
-		fmt.Fprintf(stdout, "%s certificate: %v\n", *algo, res.Cert)
-		for _, note := range res.Notes {
-			fmt.Fprintln(stdout, note)
-		}
-		fmt.Fprintf(stdout, "set size: %d\n", len(res.Set))
-		fmt.Fprintf(stdout, "rounds: %d\n", res.Rounds)
-		if *verbose {
-			fmt.Fprintf(stdout, "members: %v\n", res.Set)
-		}
-		report(nil)
-		return exitOK
+	if params.DiamBound == 0 && fam.NeedsDiam {
+		// One host-side BFS; only paid for families that run an
+		// orientation phase.
+		params.DiamBound = 2*g.Eccentricity(0) + 2
 	}
-	stopCPU()
 
-	if *algo != "cds" {
-		if !verify.IsDominatingSet(g, set) {
-			return violation(stderr, "output is not a dominating set (bug)")
+	// The CPU profile brackets the solve alone: no exit path lies between
+	// its start and stop, so it needs no deferred backstop.
+	stopCPU := func() {}
+	if *pprofCPU != "" {
+		f, err := os.Create(*pprofCPU)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(stderr, err)
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			f.Close()
 		}
 	}
-	cert := verify.Certify(g, set)
-	fmt.Fprintf(stdout, "set size: %d\n", len(set))
-	fmt.Fprintf(stdout, "certified lower bound on OPT: %.2f (ratio ≤ %.3f)\n", cert.LowerBound, cert.Ratio)
-	if bound > 0 {
-		fmt.Fprintf(stdout, "paper guarantee: %.3f\n", bound)
+	res, err := fam.Solve(g, params)
+	stopCPU()
+	if err != nil {
+		if congest.SentinelClass(err) == "config" {
+			return usage(stderr, "%v", err)
+		}
+		return fail(stderr, err)
 	}
-	if rounds > 0 {
-		fmt.Fprintf(stdout, "rounds (measured+charged): %d\n", rounds)
+	// The family certificate is the only verification pass — at 10⁶ nodes
+	// a second one would double the post-solve wall-clock.
+	if !res.Cert.Passed() {
+		return violation(stderr, "%s output failed its certificate (bug): %v", *algo, res.Cert)
+	}
+	fmt.Fprintf(stdout, "%s certificate: %v\n", *algo, res.Cert)
+	for _, note := range res.Notes {
+		fmt.Fprintln(stdout, note)
+	}
+	fmt.Fprintf(stdout, "set size: %d\n", len(res.Set))
+	if res.Rounds > 0 {
+		fmt.Fprintf(stdout, "rounds: %d\n", res.Rounds)
 	}
 	if *verbose {
-		fmt.Fprintf(stdout, "members: %v\n", set)
+		fmt.Fprintf(stdout, "members: %v\n", res.Set)
 	}
-	report(led)
+
+	// The profile (and the wall-annotated ledger, when the pipeline kept
+	// one) closes the successful run.
+	if rec != nil {
+		if res.Ledger != nil {
+			obs.FillLedgerWall(res.Ledger, rec)
+		}
+		closeTrace()
+		if agg != nil {
+			fmt.Fprint(stdout, agg.Profile())
+			if res.Ledger != nil {
+				fmt.Fprintf(stdout, "ledger: %v\n", res.Ledger)
+			}
+		}
+	}
 	return exitOK
 }

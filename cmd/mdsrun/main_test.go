@@ -16,7 +16,7 @@ import (
 )
 
 // Regression test for the unknown-algorithm error: it must list every
-// valid -algo value (the builtins and the registered families), mirroring
+// valid -algo value (the baselines and the registered families), mirroring
 // the graph.Named unknown-family fix. Before this, the error was a bare
 // `unknown algorithm "x"` and users had to read the source to find the
 // valid names.
@@ -101,6 +101,7 @@ func TestExitCodes(t *testing.T) {
 		{"removed-sim", []string{"-sim", "sharded"}, 2, "use stepped"},
 		{"unknown-graph-family", []string{"-family", "nope", "-algo", "greedy"}, 1, ""},
 		{"exact-too-big", []string{"-algo", "exact", "-n", "100"}, 2, "n ≤ 64"},
+		{"eps-out-of-range", []string{"-family", "gnp", "-n", "40", "-algo", "thm1.2", "-eps", "2"}, 2, "out of (0,1]"},
 		{"ckpt-wrong-algo", []string{"-algo", "greedy", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},
 		{"ckpt-wrong-sim", []string{"-algo", "arbmds", "-sim", "goroutine", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},
 		{"ckpt-every-zero", []string{"-algo", "arbmds", "-sim", "stepped", "-ckpt", "x.ckpt", "-ckpt-every", "0"}, 2, "-ckpt-every"},

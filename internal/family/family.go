@@ -1,13 +1,12 @@
-// Package family is the algorithm-family registry: the shared
-// solve → certify → report plumbing that every dominating-set family
-// beyond the source paper plugs into. A Family bundles a Solve function
-// with the certificate its outputs are checked against, in the uniform
-// shape cmd/mdsrun dispatches on and the experiment tables consume — so
-// adding a family (the recipe arbmds and mcds established, see
-// docs/ARCHITECTURE.md) is: implement the algorithm package, register it
-// here, add a conformance case and an experiment table. Registered
-// families are automatically listed in mdsrun's -algo help and its
-// unknown-algorithm error.
+// Package family is the algorithm-family registry: the one
+// solve → certify → report plumbing every distributed dominating-set
+// algorithm plugs into — the source paper's thm1.1, thm1.2 (alias paper),
+// cor1.3 and cds, and arbmds and mcds beyond it. A Family bundles a Solve
+// function with the certificate its outputs are checked against, in the
+// uniform shape cmd/mdsrun and cmd/mdsd both dispatch on (so they accept
+// the same names). Adding a family (the recipe in docs/ARCHITECTURE.md)
+// is: implement the algorithm package, register it here, add a
+// conformance case and an experiment table.
 package family
 
 import (
@@ -35,8 +34,9 @@ type Params struct {
 	// DiamBound is the known diameter upper bound for families that run an
 	// orientation phase (zero: the family's safe default, typically n).
 	DiamBound int
-	// Deadline, when positive, bounds each simulated run's wall clock;
-	// overruns surface as congest.ErrDeadline (see congest.Config.Deadline).
+	// Deadline, when positive, bounds the solve's wall clock; overruns
+	// surface as congest.ErrDeadline (see congest.Config.Deadline; the
+	// paper's multi-run pipeline applies it as one context timeout).
 	Deadline time.Duration
 	// Ctx, when non-nil, cancels the family's simulated runs: one context
 	// bounds the whole solve, even when it spans several runs.
@@ -89,12 +89,16 @@ type Result struct {
 	// Set is the family's solution (a dominating set, or a connected
 	// dominating set for CDS families), ascending.
 	Set []int
-	// Rounds is the measured synchronous round count.
+	// Rounds is the synchronous round count (the paper's pipeline: measured
+	// plus charged, split in a Note).
 	Rounds int
 	// Cert is the family's certificate over Set (never nil).
 	Cert Certificate
 	// Notes are extra human-readable lines for command-line output.
 	Notes []string
+	// Ledger, when non-nil, is a multi-part pipeline's per-phase round
+	// account, which mdsrun -profile prints with observed wall time.
+	Ledger *congest.Ledger
 }
 
 // Family is one registered algorithm family.

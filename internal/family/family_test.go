@@ -21,7 +21,7 @@ func TestRegistryNames(t *testing.T) {
 			t.Fatalf("names not sorted: %v", names)
 		}
 	}
-	for _, want := range []string{"arbmds", "mcds"} {
+	for _, want := range []string{"arbmds", "cds", "cor1.3", "mcds", "paper", "thm1.1", "thm1.2"} {
 		if _, err := Get(want); err != nil {
 			t.Errorf("Get(%q): %v", want, err)
 		}
@@ -33,7 +33,7 @@ func TestGetUnknownListsFamilies(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown family accepted")
 	}
-	for _, want := range []string{"arbmds", "mcds"} {
+	for _, want := range []string{"arbmds", "cds", "cor1.3", "mcds", "paper", "thm1.1", "thm1.2"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %q", err, want)
 		}

@@ -1,18 +1,24 @@
 package family
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 
 	"congestds/internal/arbmds"
+	"congestds/internal/cds"
+	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/mcds"
+	"congestds/internal/mds"
 	"congestds/internal/verify"
 )
 
-// Registrations of the algorithm families beyond the source paper. The
-// registry deliberately lives on the consumer side (adapters around the
-// families' typed APIs) so the algorithm packages stay free of registry
-// concerns and their Solve signatures can stay precise.
+// Registrations of the source paper's pipeline and of the algorithm
+// families beyond it. The registry deliberately lives on the consumer side
+// (adapters around the algorithms' typed APIs) so the algorithm packages
+// stay free of registry concerns and their Solve signatures can stay
+// precise.
 
 // arbCert adapts verify.ArbCertificate to the Certificate interface.
 type arbCert struct{ verify.ArbCertificate }
@@ -24,7 +30,89 @@ type cdsCert struct{ verify.CDSCertificate }
 
 func (c cdsCert) Passed() bool { return c.OK }
 
+// dsCert is the verdict on a paper-pipeline or baseline output: it gates
+// domination (plus connectivity for a CDS) and reports the dual-packing
+// ratio and the proven guarantee without gating them, because the LP
+// bound is only decisive against exact OPT (experiment E1).
+type dsCert struct {
+	verify.RatioCertificate
+	guarantee float64
+	ok        bool
+}
+
+func (c dsCert) Passed() bool { return c.ok }
+
+func (c dsCert) String() string {
+	return fmt.Sprintf("size=%d LB=%.2f ratio≤%.3f guarantee=%.3f ok=%v",
+		c.Size, c.LowerBound, c.Ratio, c.guarantee, c.ok)
+}
+
+// CertifyDS certifies set as a dominating set of g — a connected one when
+// connected is set — and reports it against the proven guarantee.
+func CertifyDS(g *graph.Graph, set []int, guarantee float64, connected bool) Certificate {
+	ok := verify.IsDominatingSet(g, set) && (!connected || verify.IsConnectedSet(g, set))
+	return dsCert{verify.Certify(g, set), guarantee, ok}
+}
+
 func init() {
+	// The source paper's pipeline: one row per theorem; paper is the
+	// README's name for Theorem 1.2.
+	for _, row := range []struct {
+		name, summary string
+		engine        mds.Engine
+		cds           bool
+	}{
+		{"thm1.1", "paper Thm 1.1 (arXiv:1905.10775): deterministic (1+ε)(1+ln(Δ+1))-approximate MDS in CONGEST via network decomposition", mds.EngineDecomposition, false},
+		{"thm1.2", "paper Thm 1.2 (arXiv:1905.10775): deterministic (1+ε)(1+ln(Δ+1))-approximate MDS in CONGEST via distance-2 colorings", mds.EngineColoring, false},
+		{"paper", "alias of thm1.2, the source paper's main algorithm", mds.EngineColoring, false},
+		{"cor1.3", "paper Cor 1.3 (arXiv:1905.10775): the LOCAL-model variant of Thm 1.2", mds.EngineColoringLocal, false},
+		{"cds", "paper Thm 1.4 (arXiv:1905.10775, Sec. 4): connected dominating set from the Thm 1.2 set, |CDS| ≤ 3|DS|", mds.EngineColoring, true},
+	} {
+		Register(Family{
+			Name:       row.name,
+			Summary:    row.summary,
+			DefaultEps: 0.5,
+			Solve: func(g *graph.Graph, p Params) (*Result, error) {
+				if p.CkptPath != "" {
+					return nil, fmt.Errorf("%w: %s does not support checkpointing (CkptPath set)", congest.ErrConfig, row.name)
+				}
+				if p.Eps <= 0 {
+					p.Eps = 0.5
+				}
+				if p.Deadline > 0 { // one budget for the whole multi-run pipeline
+					ctx, cancel := context.WithTimeout(cmp.Or(p.Ctx, context.Background()), p.Deadline)
+					defer cancel()
+					p.Ctx = ctx
+				}
+				mp := mds.Params{Eps: p.Eps, Engine: row.engine, Sim: p.Sim, Ctx: p.Ctx, Observer: p.Observer}
+				out := &Result{}
+				var bound float64
+				if row.cds {
+					res, err := cds.Solve(g, cds.Params{MDS: mp})
+					if err != nil {
+						return nil, err
+					}
+					out.Set, out.Ledger, bound = res.CDS, res.Ledger, res.Bound
+					out.Notes = []string{fmt.Sprintf("underlying dominating set: %d nodes, %d cluster centres",
+						len(res.DS), len(res.RulingSet))}
+				} else {
+					res, err := mds.Solve(g, mp)
+					if err != nil {
+						return nil, err
+					}
+					out.Set, out.Ledger, bound = res.Set, res.Ledger, res.Bound
+				}
+				m := out.Ledger.Metrics()
+				out.Rounds = m.TotalRounds()
+				out.Cert = CertifyDS(g, out.Set, bound, row.cds)
+				out.Notes = append(out.Notes, fmt.Sprintf(
+					"round split: %d measured + %d charged (charged rounds are accounted, not executed)",
+					m.Rounds, m.ChargedRounds))
+				return out, nil
+			},
+		})
+	}
+
 	Register(Family{
 		Name:       "arbmds",
 		Summary:    "bounded-arboricity peeling MDS (Dory–Ghaffari–Ilchi, arXiv:2206.05174): O(α)·OPT in 4·⌈log₁₊ε Δ̃⌉ rounds, independent of n",

@@ -169,7 +169,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 // Connect turns an existing dominating set into a connected dominating set
 // by running the orientation and connection phases alone — the CDS
 // connector search in native StepProgram form (the blocking host-level
-// construction lives in internal/cds; cds.ExtendStepped wraps this).
+// construction lives in internal/cds).
 func Connect(g *graph.Graph, ds []int, p Params) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{}, nil

@@ -127,7 +127,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		p.Eps = 0.5
 	}
 	if p.Eps < 0 || p.Eps > 1 {
-		return nil, fmt.Errorf("mds: eps=%v out of (0,1]", p.Eps)
+		return nil, fmt.Errorf("%w: mds: eps=%v out of (0,1]", congest.ErrConfig, p.Eps)
 	}
 	if p.Engine == 0 {
 		p.Engine = EngineColoring

@@ -156,6 +156,8 @@ func TestRealRequestFailurePaths(t *testing.T) {
 		{"unknown query key", "/solve?graph=g&algo=arbmds&maxrunds=3", http.StatusBadRequest, "config"},
 		{"round clamp hit", "/solve?graph=g&algo=arbmds&maxrounds=1", http.StatusUnprocessableEntity, "max-rounds"},
 		{"deadline elapsed", "/solve?graph=g&algo=arbmds&deadline=1ns", http.StatusGatewayTimeout, "deadline"},
+		{"paper eps out of range", "/solve?graph=g&algo=thm1.2&eps=2", http.StatusBadRequest, "config"},
+		{"paper deadline elapsed", "/solve?graph=g&algo=thm1.2&deadline=1ns", http.StatusGatewayTimeout, "deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
