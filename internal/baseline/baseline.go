@@ -19,31 +19,34 @@ import (
 // Greedy computes the classical greedy dominating set: repeatedly add the
 // node covering the most uncovered nodes (ties by smaller ID). Guarantees a
 // ln(Δ+1)+1 approximation [Joh74].
+//
+// The argmax is a lazy max-heap keyed (gain desc, ID asc): gains only
+// fall, so a stored gain bounds the current one, and a top entry whose
+// stored gain is current is the true argmax. A stale top is re-keyed in
+// place. The top is never a node of gain 0 while a node is uncovered,
+// since an uncovered node's gain counts itself.
 func Greedy(g *graph.Graph) []int {
 	n := g.N()
 	covered := make([]bool, n)
-	inSet := make([]bool, n)
 	gain := make([]int, n)
+	h := gainHeap{g: g, items: make([]gainItem, n)}
 	for v := 0; v < n; v++ {
 		gain[v] = g.Degree(v) + 1
+		h.items[v] = gainItem{v: v, gain: gain[v]}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 	remaining := n
 	var set []int
 	for remaining > 0 {
-		best := -1
-		for v := 0; v < n; v++ {
-			if inSet[v] || gain[v] == 0 {
-				continue
-			}
-			if best < 0 || gain[v] > gain[best] ||
-				(gain[v] == gain[best] && g.ID(v) < g.ID(best)) {
-				best = v
-			}
+		top := h.items[0]
+		if cur := gain[top.v]; cur != top.gain {
+			h.items[0].gain = cur
+			h.down(0)
+			continue
 		}
-		if best < 0 {
-			break // should not happen: every uncovered node has gain ≥ 1
-		}
-		inSet[best] = true
+		best := top.v
 		set = append(set, best)
 		cover := func(u int) {
 			if covered[u] {
@@ -64,6 +67,42 @@ func Greedy(g *graph.Graph) []int {
 	}
 	sort.Ints(set)
 	return set
+}
+
+// gainItem is a node with the gain it had when last keyed.
+type gainItem struct{ v, gain int }
+
+// gainHeap is a binary max-heap of nodes ordered (gain desc, ID asc, node
+// asc). Keys only fall, so sifting down is the only repair it needs.
+type gainHeap struct {
+	g     *graph.Graph
+	items []gainItem
+}
+
+func (h *gainHeap) before(a, b gainItem) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	if ia, ib := h.g.ID(a.v), h.g.ID(b.v); ia != ib {
+		return ia < ib
+	}
+	return a.v < b.v
+}
+
+func (h *gainHeap) down(i int) {
+	for {
+		top := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h.items) && h.before(h.items[c], h.items[top]) {
+				top = c
+			}
+		}
+		if top == i {
+			return
+		}
+		h.items[i], h.items[top] = h.items[top], h.items[i]
+		i = top
+	}
 }
 
 // Exact computes a minimum dominating set by branch and bound with greedy

@@ -1,8 +1,11 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"congestds/internal/fractional"
@@ -114,5 +117,97 @@ func TestRandomizedOneShotDominates(t *testing.T) {
 		if !verify.IsDominatingSet(g, set) {
 			t.Fatal("randomized one-shot output not dominating")
 		}
+	}
+}
+
+// greedyScan is Greedy with the argmax as a scan over all n nodes per
+// pick: the reference the heap-driven Greedy must match.
+func greedyScan(g *graph.Graph) []int {
+	n := g.N()
+	covered := make([]bool, n)
+	inSet := make([]bool, n)
+	gain := make([]int, n)
+	for v := 0; v < n; v++ {
+		gain[v] = g.Degree(v) + 1
+	}
+	remaining := n
+	var set []int
+	for remaining > 0 {
+		best := -1
+		for v := 0; v < n; v++ {
+			if inSet[v] || gain[v] == 0 {
+				continue
+			}
+			if best < 0 || gain[v] > gain[best] ||
+				(gain[v] == gain[best] && g.ID(v) < g.ID(best)) {
+				best = v
+			}
+		}
+		if best < 0 {
+			break
+		}
+		inSet[best] = true
+		set = append(set, best)
+		cover := func(u int) {
+			if covered[u] {
+				return
+			}
+			covered[u] = true
+			remaining--
+			gain[u]--
+			for _, w := range g.Neighbors(u) {
+				gain[w]--
+			}
+		}
+		cover(best)
+		for _, u := range g.Neighbors(best) {
+			cover(int(u))
+		}
+	}
+	sort.Ints(set)
+	return set
+}
+
+// Greedy picks exactly the nodes of the scan, over seeded families whose
+// default IDs are a scrambled permutation, so the ID tie-break is live.
+func TestGreedyMatchesScan(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"path", graph.Path(3000)},
+		{"cycle", graph.Cycle(3000)},
+		{"grid", graph.Grid(55, 55)},
+		{"empty", graph.Path(0)},
+	}
+	for _, fam := range []string{"gnp", "ba", "disk", "uforest", "torus", "caterpillar"} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			g, err := graph.Named(fam, 3000, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, struct {
+				name string
+				g    *graph.Graph
+			}{fmt.Sprintf("%s/seed%d", fam, seed), g})
+		}
+	}
+	for _, tt := range graphs {
+		if got, want := Greedy(tt.g), greedyScan(tt.g); !slices.Equal(got, want) {
+			t.Errorf("%s: Greedy %d nodes, scan %d", tt.name, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkGreedy is the greedy baseline on the benchmark's graph: gnp
+// n = 16 000, seed 1.
+func BenchmarkGreedy(b *testing.B) {
+	g, err := graph.Named("gnp", 16000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		Greedy(g)
 	}
 }

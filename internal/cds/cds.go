@@ -8,7 +8,12 @@
 //     G-distance ≤ 3; G_S is connected iff G is.
 //  2. Compute a ruling set S' ⊆ S on G_S: pairwise distance ≥ α, every
 //     member of S within distance < α of S' (the paper uses the [ALGP89,
-//     HKN16] construction with α = Θ(log² n); α is a parameter here).
+//     HKN16] construction with α = Θ(log² n); α is a parameter here). We
+//     select greedily in ID order: a member becomes a centre iff no
+//     earlier centre lies within distance α−1. One array of capped
+//     distances to the nearest centre, relaxed by a depth-(α−1) BFS from
+//     each new centre, decides every candidate in O(1); each entry falls
+//     at most α times, so the step costs O(α·|E(G_S)|).
 //  3. Cluster S around S' by multi-source BFS in G_S, building cluster
 //     trees whose G_S edges are realized as G-paths of length ≤ 3
 //     (Lemma 4.2).
@@ -26,6 +31,7 @@ package cds
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"congestds/internal/congest"
@@ -60,6 +66,9 @@ type Result struct {
 
 // Solve computes a connected dominating set of the connected graph g.
 func Solve(g *graph.Graph, p Params) (*Result, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	if g.N() == 0 {
 		return &Result{Ledger: &congest.Ledger{}}, nil
 	}
@@ -78,9 +87,20 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	return res, nil
 }
 
+// validate rejects parameters no run can honour.
+func (p Params) validate() error {
+	if p.Alpha < 0 {
+		return fmt.Errorf("%w: cds: alpha=%d must be ≥ 0 (0 selects the default)", congest.ErrConfig, p.Alpha)
+	}
+	return nil
+}
+
 // Extend turns an existing dominating set into a connected dominating set
 // (the Section 4 transformation alone). The ledger may be nil.
 func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	if ledger == nil {
 		ledger = &congest.Ledger{}
 	}
@@ -100,36 +120,28 @@ func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result
 
 	// Ruling set on G_S by greedy ID order (deterministic substitute for the
 	// [ALGP89/HKN16] distributed construction; same (α, α−1) guarantees).
-	rs := rulingSet(g, gs, p.Alpha)
-	res.RulingSet = rs
+	centres := rulingSet(g, gs, p.Alpha)
+	res.RulingSet = make([]int, len(centres))
+	for i, c := range centres {
+		res.RulingSet[i] = gs.nodes[c]
+	}
 
-	// Multi-source BFS clustering on G_S with cluster trees.
-	clusterOf, parentEdge := clusterize(gs, rs)
-
-	// Collect CDS nodes: S plus inner nodes of all used paths.
-	inCDS := make(map[int]bool, 3*len(ds))
-	for _, s := range ds {
+	// CDS nodes: S plus the inner nodes of every G_S edge the cluster trees
+	// and the cluster-graph spanning tree use.
+	inCDS := make([]bool, g.N())
+	for _, s := range gs.nodes {
 		inCDS[s] = true
 	}
-	for sIdx, pe := range parentEdge {
-		if pe != nil {
-			addPath(inCDS, pe)
-			_ = sIdx
-		}
-	}
-
-	// Cluster graph spanning structure: BFS tree over clusters, connecting
-	// via representative G_S edges.
-	if err := connectClusters(gs, rs, clusterOf, inCDS); err != nil {
+	clusterOf := clusterize(gs, centres, inCDS)
+	if err := connectClusters(gs, centres, clusterOf, inCDS); err != nil {
 		return nil, err
 	}
 
-	cdsSet := make([]int, 0, len(inCDS))
-	for v := range inCDS {
-		cdsSet = append(cdsSet, v)
+	for v, in := range inCDS {
+		if in {
+			res.CDS = append(res.CDS, v)
+		}
 	}
-	sort.Ints(cdsSet)
-	res.CDS = cdsSet
 
 	// Charged rounds: ruling set + clustering are the paper's O(log³ n)
 	// phase (Lemma 4.2); connecting the clusters costs O(cluster-graph
@@ -137,7 +149,7 @@ func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result
 	// selection of [Gha14].
 	logn := int(math.Ceil(math.Log2(float64(g.N() + 1))))
 	ledger.Charge("cds/ruling+clustering", p.Alpha*logn+3*logn)
-	ledger.Charge("cds/connect", 3*(len(rs)+1))
+	ledger.Charge("cds/connect", 3*(len(centres)+1))
 
 	if err := verify.CheckCDS(g, res.CDS); err != nil {
 		return nil, fmt.Errorf("cds: internal: %w", err)
@@ -146,92 +158,120 @@ func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result
 }
 
 // gsGraph is G_S: S-members with edges between members at distance ≤ 3,
-// each edge carrying a realizing G-path.
+// each edge carrying a realizing G-path. Adjacency is CSR over positions
+// in nodes, ascending within a row; inner is aligned with adj.
 type gsGraph struct {
-	nodes []int            // the members of S, sorted
-	index map[int]int      // node -> position in nodes
-	adj   [][]int          // adjacency by position
-	paths map[[2]int][]int // canonical (minPos,maxPos) -> full G-path (incl. endpoints)
+	nodes []int      // the members of S, sorted and distinct
+	off   []int      // row a of adj is adj[off[a]:off[a+1]]
+	adj   []int32    // neighbour positions
+	inner [][2]int32 // inner nodes (≤ 2, −1 padded) of the slot's G-path
 }
 
-// buildGS constructs G_S by depth-3 BFS from every member of S.
+// row returns the neighbour positions of position a.
+func (gs *gsGraph) row(a int) []int32 { return gs.adj[gs.off[a]:gs.off[a+1]] }
+
+// addInner inserts the inner nodes of adjacency slot k's G-path into the
+// CDS (its endpoints are S-members and already in).
+func (gs *gsGraph) addInner(inCDS []bool, k int) {
+	for _, v := range gs.inner[k] {
+		if v >= 0 {
+			inCDS[v] = true
+		}
+	}
+}
+
+// buildGS constructs G_S by depth-3 BFS from every member of S. An edge
+// {a, b} with a < b is realized by the path found by a's BFS, which runs
+// first; b's BFS skips it.
 func buildGS(g *graph.Graph, ds []int) *gsGraph {
 	nodes := append([]int(nil), ds...)
 	sort.Ints(nodes)
-	gs := &gsGraph{
-		nodes: nodes,
-		index: make(map[int]int, len(nodes)),
-		adj:   make([][]int, len(nodes)),
-		paths: make(map[[2]int][]int),
-	}
-	for i, v := range nodes {
-		gs.index[v] = i
-	}
-	inS := make([]bool, g.N())
-	for _, v := range nodes {
-		inS[v] = true
-	}
-	dist := make([]int, g.N())
-	parent := make([]int, g.N())
-	for i := range dist {
+	nodes = slices.Compact(nodes)
+	n := g.N()
+	pos := make([]int32, n) // node -> position in nodes, −1 outside S
+	dist := make([]int8, n)
+	parent := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
 		dist[i] = -1
 	}
+	for i, v := range nodes {
+		pos[v] = int32(i)
+	}
+	type edge struct {
+		a, b  int32
+		inner [2]int32
+	}
+	var edges, found []edge
+	deg := make([]int, len(nodes))
+	var queue []int32
 	for si, s := range nodes {
 		// BFS to depth 3.
-		var visited []int
-		queue := []int{s}
+		queue = append(queue[:0], int32(s))
 		dist[s] = 0
 		parent[s] = -1
-		visited = append(visited, s)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			if dist[v] == 3 {
 				continue
 			}
-			for _, un := range g.Neighbors(v) {
-				u := int(un)
+			for _, u := range g.Neighbors(int(v)) {
 				if dist[u] >= 0 {
 					continue
 				}
 				dist[u] = dist[v] + 1
 				parent[u] = v
-				visited = append(visited, u)
 				queue = append(queue, u)
 			}
 		}
-		for _, t := range visited {
-			if t == s || !inS[t] {
-				continue
+		found = found[:0]
+		for _, t := range queue {
+			if ti := pos[t]; ti > int32(si) {
+				e := edge{a: int32(si), b: ti, inner: [2]int32{-1, -1}}
+				for k, v := 0, parent[t]; v != int32(s); k, v = k+1, parent[v] {
+					e.inner[k] = v
+				}
+				found = append(found, e)
+				deg[si]++
+				deg[ti]++
 			}
-			ti := gs.index[t]
-			key := [2]int{si, ti}
-			if si > ti {
-				key = [2]int{ti, si}
-			}
-			if _, done := gs.paths[key]; done {
-				continue
-			}
-			// Reconstruct the realizing path s..t.
-			var path []int
-			for v := t; v != -1; v = parent[v] {
-				path = append(path, v)
-			}
-			gs.paths[key] = path
-			gs.adj[si] = append(gs.adj[si], ti)
-			gs.adj[ti] = append(gs.adj[ti], si)
 		}
-		for _, v := range visited {
+		// Sorting each BFS's edges by b keeps edges in (a, b) order, so the
+		// fill below leaves every row ascending: a row's smaller neighbours
+		// arrive from earlier BFSs, its larger ones from its own.
+		slices.SortFunc(found, func(x, y edge) int { return int(x.b - y.b) })
+		edges = append(edges, found...)
+		for _, v := range queue {
 			dist[v] = -1
 		}
 	}
-	for i := range gs.adj {
-		sort.Ints(gs.adj[i])
+	gs := &gsGraph{
+		nodes: nodes,
+		off:   make([]int, len(nodes)+1),
+		adj:   make([]int32, 2*len(edges)),
+		inner: make([][2]int32, 2*len(edges)),
+	}
+	for i, d := range deg {
+		gs.off[i+1] = gs.off[i] + d
+	}
+	fill := append([]int(nil), gs.off[:len(nodes)]...)
+	for _, e := range edges {
+		for _, end := range [2][2]int32{{e.a, e.b}, {e.b, e.a}} {
+			k := fill[end[0]]
+			fill[end[0]]++
+			gs.adj[k] = end[1]
+			gs.inner[k] = e.inner
+		}
 	}
 	return gs
 }
 
-// rulingSet greedily selects members (in g-ID order) at pairwise G_S
-// distance ≥ alpha.
+// rulingSet selects centres greedily in g-ID order: a member becomes a
+// centre iff no earlier centre lies within G_S distance α−1. near[v] is
+// v's G_S distance to the closest centre so far, capped at α; a new
+// centre relaxes it by a BFS that stops at depth α−1 and at nodes it does
+// not improve. Each near[v] only falls, at most α times, so the scan costs
+// O(α·|E(G_S)|). It returns the centres' positions, ascending.
 func rulingSet(g *graph.Graph, gs *gsGraph, alpha int) []int {
 	order := make([]int, len(gs.nodes))
 	for i := range order {
@@ -240,41 +280,31 @@ func rulingSet(g *graph.Graph, gs *gsGraph, alpha int) []int {
 	sort.Slice(order, func(a, b int) bool {
 		return g.ID(gs.nodes[order[a]]) < g.ID(gs.nodes[order[b]])
 	})
-	selected := make([]bool, len(gs.nodes))
-	var rs []int
-	dist := make([]int, len(gs.nodes))
-	for i := range dist {
-		dist[i] = -1
+	near := make([]int, len(gs.nodes))
+	for i := range near {
+		near[i] = alpha
 	}
+	var rs []int
+	var queue []int32
 	for _, cand := range order {
-		// BFS from cand to depth alpha-1 looking for an existing centre.
-		ok := true
-		queue := []int{cand}
-		dist[cand] = 0
-		visited := []int{cand}
-		for qi := 0; qi < len(queue) && ok; qi++ {
+		if near[cand] < alpha {
+			continue
+		}
+		rs = append(rs, cand)
+		near[cand] = 0
+		queue = append(queue[:0], int32(cand))
+		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
-			if selected[v] {
-				ok = false
-				break
-			}
-			if dist[v] == alpha-1 {
+			d := near[v] + 1
+			if d >= alpha {
 				continue
 			}
-			for _, u := range gs.adj[v] {
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					visited = append(visited, u)
+			for _, u := range gs.row(int(v)) {
+				if d < near[u] {
+					near[u] = d
 					queue = append(queue, u)
 				}
 			}
-		}
-		for _, v := range visited {
-			dist[v] = -1
-		}
-		if ok {
-			selected[cand] = true
-			rs = append(rs, gs.nodes[cand])
 		}
 	}
 	sort.Ints(rs)
@@ -282,94 +312,72 @@ func rulingSet(g *graph.Graph, gs *gsGraph, alpha int) []int {
 }
 
 // clusterize assigns every G_S node to its nearest centre (ties: smaller
-// centre node, then smaller node) by multi-source BFS and returns, per G_S
-// position, the cluster centre position and the realizing path of the BFS
-// tree edge toward the centre (nil for centres).
-func clusterize(gs *gsGraph, rs []int) (clusterOf []int, parentEdge [][]int) {
-	n := len(gs.nodes)
-	clusterOf = make([]int, n)
-	parentEdge = make([][]int, n)
-	distTo := make([]int, n)
+// centre position, then smaller node) by multi-source BFS from the
+// ascending centre positions, adds the inner nodes of every BFS tree edge
+// to the CDS, and returns each position's cluster centre position.
+func clusterize(gs *gsGraph, centres []int, inCDS []bool) []int32 {
+	clusterOf := make([]int32, len(gs.nodes))
 	for i := range clusterOf {
 		clusterOf[i] = -1
-		distTo[i] = -1
 	}
-	var queue []int
-	for _, c := range rs {
-		ci := gs.index[c]
-		clusterOf[ci] = ci
-		distTo[ci] = 0
-		queue = append(queue, ci)
+	queue := make([]int32, 0, len(gs.nodes))
+	for _, c := range centres {
+		clusterOf[c] = int32(c)
+		queue = append(queue, int32(c))
 	}
-	sort.Ints(queue) // deterministic multi-source order
 	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		for _, u := range gs.adj[v] {
+		v := int(queue[qi])
+		for k := gs.off[v]; k < gs.off[v+1]; k++ {
+			u := gs.adj[k]
 			if clusterOf[u] >= 0 {
 				continue
 			}
 			clusterOf[u] = clusterOf[v]
-			distTo[u] = distTo[v] + 1
-			parentEdge[u] = gs.pathBetween(u, v)
+			gs.addInner(inCDS, k)
 			queue = append(queue, u)
 		}
 	}
-	return clusterOf, parentEdge
-}
-
-// pathBetween returns the realizing G-path of the G_S edge {a,b}.
-func (gs *gsGraph) pathBetween(a, b int) []int {
-	key := [2]int{a, b}
-	if a > b {
-		key = [2]int{b, a}
-	}
-	return gs.paths[key]
+	return clusterOf
 }
 
 // connectClusters adds connector paths between clusters along a BFS spanning
 // tree of the cluster graph.
-func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS map[int]bool) error {
-	if len(rs) <= 1 {
+func connectClusters(gs *gsGraph, centres []int, clusterOf []int32, inCDS []bool) error {
+	if len(centres) <= 1 {
 		return nil
 	}
-	// Cluster adjacency with representative G_S edges (lexicographically
-	// smallest position pair).
-	type rep struct{ a, b int }
-	reps := make(map[[2]int]rep)
-	for a := range gs.adj {
-		for _, b := range gs.adj[a] {
-			if a >= b {
+	// Cluster adjacency with representative G_S edges: rows ascend, so the
+	// first slot seen for a cluster pair is its lexicographically smallest
+	// position pair.
+	reps := make(map[[2]int32]int)
+	for a := range gs.nodes {
+		for k := gs.off[a]; k < gs.off[a+1]; k++ {
+			b := gs.adj[k]
+			if int(b) <= a {
 				continue
 			}
 			ca, cb := clusterOf[a], clusterOf[b]
 			if ca == cb {
 				continue
 			}
-			key := [2]int{ca, cb}
-			if ca > cb {
-				key = [2]int{cb, ca}
-			}
-			if r, ok := reps[key]; !ok || a < r.a || (a == r.a && b < r.b) {
-				reps[key] = rep{a: a, b: b}
+			key := [2]int32{min(ca, cb), max(ca, cb)}
+			if _, ok := reps[key]; !ok {
+				reps[key] = k
 			}
 		}
 	}
 	// BFS over clusters from the smallest centre position.
-	adj := make(map[int][]int)
+	adj := make(map[int32][]int32)
 	for key := range reps {
 		adj[key[0]] = append(adj[key[0]], key[1])
 		adj[key[1]] = append(adj[key[1]], key[0])
 	}
 	for c := range adj {
-		sort.Ints(adj[c])
+		slices.Sort(adj[c])
 	}
-	centres := make([]int, 0, len(rs))
-	for _, c := range rs {
-		centres = append(centres, gs.index[c])
-	}
-	sort.Ints(centres)
-	visited := map[int]bool{centres[0]: true}
-	queue := []int{centres[0]}
+	visited := make([]bool, len(gs.nodes))
+	visited[centres[0]] = true
+	queue := []int32{int32(centres[0])}
 	for qi := 0; qi < len(queue); qi++ {
 		c := queue[qi]
 		for _, d := range adj[c] {
@@ -378,24 +386,12 @@ func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS map[int]bool)
 			}
 			visited[d] = true
 			queue = append(queue, d)
-			key := [2]int{c, d}
-			if c > d {
-				key = [2]int{d, c}
-			}
-			r := reps[key]
-			addPath(inCDS, gs.pathBetween(r.a, r.b))
+			gs.addInner(inCDS, reps[[2]int32{min(c, d), max(c, d)}])
 		}
 	}
-	if len(visited) != len(centres) {
+	if len(queue) != len(centres) {
 		return fmt.Errorf("cds: cluster graph disconnected (%d of %d clusters reached)",
-			len(visited), len(centres))
+			len(queue), len(centres))
 	}
 	return nil
-}
-
-// addPath inserts all nodes of a realizing path into the CDS.
-func addPath(inCDS map[int]bool, path []int) {
-	for _, v := range path {
-		inCDS[v] = true
-	}
 }

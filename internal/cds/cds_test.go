@@ -1,9 +1,14 @@
 package cds
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"congestds/internal/baseline"
+	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/mds"
 	"congestds/internal/verify"
@@ -183,6 +188,246 @@ func TestRulingSetSeparation(t *testing.T) {
 				t.Errorf("centres %d,%d at G-distance %d (G_S neighbours)",
 					res.RulingSet[i], res.RulingSet[j], d)
 			}
+		}
+	}
+}
+
+// rulingSetScan is the ruling set as one bounded BFS per candidate: the
+// reference rulingSet must match. It returns the centres' nodes, sorted.
+func rulingSetScan(g *graph.Graph, gs *gsGraph, alpha int) []int {
+	order := make([]int, len(gs.nodes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return g.ID(gs.nodes[order[a]]) < g.ID(gs.nodes[order[b]])
+	})
+	selected := make([]bool, len(gs.nodes))
+	var rs []int
+	dist := make([]int, len(gs.nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	for _, cand := range order {
+		// BFS from cand to depth alpha-1 looking for an existing centre.
+		ok := true
+		queue := []int{cand}
+		dist[cand] = 0
+		visited := []int{cand}
+		for qi := 0; qi < len(queue) && ok; qi++ {
+			v := queue[qi]
+			if selected[v] {
+				ok = false
+				break
+			}
+			if dist[v] == alpha-1 {
+				continue
+			}
+			for _, un := range gs.row(v) {
+				u := int(un)
+				if dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					visited = append(visited, u)
+					queue = append(queue, u)
+				}
+			}
+		}
+		for _, v := range visited {
+			dist[v] = -1
+		}
+		if ok {
+			selected[cand] = true
+			rs = append(rs, gs.nodes[cand])
+		}
+	}
+	sort.Ints(rs)
+	return rs
+}
+
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// The incremental ruling set selects exactly the centres of the
+// per-candidate BFS scan, on seeded families × seeds 1–6 at n = 3000 plus
+// path, cycle and grid.
+func TestRulingSetMatchesScan(t *testing.T) {
+	graphs := []namedGraph{
+		{"path", graph.Path(3000)},
+		{"cycle", graph.Cycle(3000)},
+		{"grid", graph.Grid(55, 55)},
+	}
+	for _, fam := range []string{"gnp", "ba", "disk", "uforest", "torus", "caterpillar"} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			g, err := graph.Named(fam, 3000, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, namedGraph{fmt.Sprintf("%s/seed%d", fam, seed), g})
+		}
+	}
+	for _, tt := range graphs {
+		gs := buildGS(tt.g, baseline.Greedy(tt.g))
+		for _, alpha := range []int{1, 2, 3, 5, 12, 40} {
+			var got []int
+			for _, c := range rulingSet(tt.g, gs, alpha) {
+				got = append(got, gs.nodes[c])
+			}
+			if want := rulingSetScan(tt.g, gs, alpha); !slices.Equal(got, want) {
+				t.Errorf("%s α=%d: rulingSet selected %d centres, the scan %d, and the sets differ",
+					tt.name, alpha, len(got), len(want))
+			}
+		}
+	}
+}
+
+// gsDistances is all-pairs BFS on G_S rebuilt from G-distances alone,
+// independent of buildGS. dist[i][j] is -1 when j is unreachable from i.
+func gsDistances(g *graph.Graph, nodes []int) [][]int {
+	k := len(nodes)
+	adj := make([][]int, k)
+	for i := range k {
+		for j := i + 1; j < k; j++ {
+			if d := g.Dist(nodes[i], nodes[j]); d >= 0 && d <= 3 {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
+			}
+		}
+	}
+	dist := make([][]int, k)
+	for s := range k {
+		d := make([]int, k)
+		for i := range d {
+			d[i] = -1
+		}
+		d[s] = 0
+		queue := []int{s}
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			for _, u := range adj[v] {
+				if d[u] < 0 {
+					d[u] = d[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		dist[s] = d
+	}
+	return dist
+}
+
+// The ruling set's (α, α−1) guarantee on small G_S, checked against an
+// independent all-pairs BFS: centres are pairwise ≥ α apart and every
+// member is within α−1 of a centre. The same distances check that G_S
+// itself has exactly the distance-≤3 edges, each realized by a G-path.
+func TestRulingSetGuarantee(t *testing.T) {
+	graphs := []namedGraph{
+		{"path60", graph.Path(60)},
+		{"cycle45", graph.Cycle(45)},
+		{"grid9x9", graph.Grid(9, 9)},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		graphs = append(graphs,
+			namedGraph{fmt.Sprintf("gnp150/seed%d", seed), graph.GNPConnected(150, 0.03, seed)},
+			namedGraph{fmt.Sprintf("disk120/seed%d", seed), graph.UnitDiskConnected(120, 0.16, seed)})
+	}
+	for _, tt := range graphs {
+		g, name := tt.g, tt.name
+		gs := buildGS(g, baseline.Greedy(g))
+		dist := gsDistances(g, gs.nodes)
+		for a := range gs.nodes {
+			var want []int32
+			for b := range gs.nodes {
+				if dist[a][b] == 1 {
+					want = append(want, int32(b))
+				}
+			}
+			if !slices.Equal(gs.row(a), want) {
+				t.Fatalf("%s: G_S row %d = %v, want %v", name, a, gs.row(a), want)
+			}
+			for k := gs.off[a]; k < gs.off[a+1]; k++ {
+				// The inner nodes run from one endpoint to the other, in
+				// either direction.
+				u, w := gs.nodes[a], gs.nodes[gs.adj[k]]
+				var in []int
+				for _, v := range gs.inner[k] {
+					if v >= 0 {
+						in = append(in, int(v))
+					}
+				}
+				if !isPath(g, u, in, w) && !isPath(g, w, in, u) {
+					t.Fatalf("%s: slot %d inner nodes %v do not realize edge %d-%d", name, k, in, u, w)
+				}
+			}
+		}
+		for _, alpha := range []int{1, 2, 3, 5} {
+			centres := rulingSet(g, gs, alpha)
+			for i, c := range centres {
+				for _, d := range centres[i+1:] {
+					if dd := dist[c][d]; dd >= 0 && dd < alpha {
+						t.Errorf("%s α=%d: centres %d,%d at G_S distance %d", name, alpha, c, d, dd)
+					}
+				}
+			}
+			for v := range gs.nodes {
+				best := -1
+				for _, c := range centres {
+					if d := dist[c][v]; d >= 0 && (best < 0 || d < best) {
+						best = d
+					}
+				}
+				if best < 0 || best > alpha-1 {
+					t.Errorf("%s α=%d: member %d at G_S distance %d from the nearest centre", name, alpha, v, best)
+				}
+			}
+		}
+	}
+}
+
+// isPath reports whether from, via..., to is a walk in g.
+func isPath(g *graph.Graph, from int, via []int, to int) bool {
+	prev := from
+	for _, v := range append(via, to) {
+		if !g.HasEdge(prev, v) {
+			return false
+		}
+		prev = v
+	}
+	return true
+}
+
+// A negative α is a config error from both entry points; 0 selects the
+// default.
+func TestAlphaValidation(t *testing.T) {
+	g := graph.Path(20)
+	ds := baseline.Greedy(g)
+	for _, tt := range []struct {
+		alpha int
+		ok    bool
+	}{{-1, false}, {-7, false}, {0, true}, {1, true}, {4, true}} {
+		_, extendErr := Extend(g, ds, Params{Alpha: tt.alpha}, nil)
+		_, solveErr := Solve(g, Params{Alpha: tt.alpha})
+		for _, err := range []error{extendErr, solveErr} {
+			if tt.ok && err != nil || !tt.ok && !errors.Is(err, congest.ErrConfig) {
+				t.Errorf("α=%d: err %v, want ok=%v (else congest.ErrConfig)", tt.alpha, err, tt.ok)
+			}
+		}
+	}
+}
+
+// BenchmarkExtend is Section 4 alone on the benchmark's graph: gnp
+// n = 16 000, seed 1, with the greedy dominating set as S.
+func BenchmarkExtend(b *testing.B) {
+	g, err := graph.Named("gnp", 16000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := baseline.Greedy(g)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Extend(g, ds, Params{}, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
