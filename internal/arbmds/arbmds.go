@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -81,10 +80,10 @@ type Params struct {
 	// MaxRounds clamps the simulated run (zero: the simulator default).
 	// Exposed for failure-injection tests.
 	MaxRounds int
-	// Deadline, when positive, bounds the run's wall clock; overruns
-	// surface as congest.ErrDeadline with honest metrics.
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels the run at round boundaries.
+	// Ctx, when non-nil, is the only way to stop the run early: its
+	// cancellation or deadline (a wall-clock budget is
+	// context.WithTimeout) is checked at round boundaries and surfaces as
+	// congest.ErrDeadline with honest metrics.
 	Ctx context.Context
 	// CkptPath, when set, checkpoints the run to this file every CkptEvery
 	// rounds and resumes from it when the file already holds a checkpoint
@@ -169,15 +168,14 @@ func Thresholds(delta int, eps float64) []int {
 func Solve(g *graph.Graph, p Params) (*Result, error) {
 	p = p.withDefaults()
 	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds,
-		Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
 	})
 	inD := make([]bool, g.N())
 	var m congest.Metrics
 	var err error
 	if p.CkptPath != "" {
 		if p.Sim != congest.EngineStepped {
-			return nil, fmt.Errorf("arbmds: CkptPath requires Sim == congest.EngineStepped (got %v)", p.Sim)
+			return nil, fmt.Errorf("%w: arbmds: CkptPath requires Sim == congest.EngineStepped (got %v)", congest.ErrConfig, p.Sim)
 		}
 		every := p.CkptEvery
 		if every <= 0 {

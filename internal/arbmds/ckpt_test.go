@@ -85,13 +85,17 @@ func TestBoolsHostRejects(t *testing.T) {
 }
 
 // TestSolveCkptRejectsNonStepped: checkpointing is a stepped-engine
-// feature; other engines must refuse loudly.
+// feature; other engines must refuse loudly, as caller misuse (the config
+// sentinel class), like every other family's checkpoint misuse.
 func TestSolveCkptRejectsNonStepped(t *testing.T) {
 	g := graph.Cycle(16)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	_, err := Solve(g, Params{Sim: congest.EngineGoroutine, CkptPath: path})
 	if err == nil || !strings.Contains(err.Error(), "EngineStepped") {
 		t.Fatalf("err=%v, want a stepped-engine requirement error", err)
+	}
+	if !errors.Is(err, congest.ErrConfig) {
+		t.Errorf("err=%v does not wrap congest.ErrConfig (class %q)", err, congest.SentinelClass(err))
 	}
 }
 

@@ -93,7 +93,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"time"
 
 	"congestds/internal/graph"
 )
@@ -182,17 +181,14 @@ type Config struct {
 	BandwidthFactor int
 	// MaxRounds aborts runaway programs. Zero means 10_000_000.
 	MaxRounds int
-	// Deadline, when positive, bounds the wall-clock duration of a single
-	// run. The engines check it at every round boundary and abort with
-	// ErrDeadline, so a run never outlives the deadline by more than the
-	// round in progress; metrics report how far the run got, like every
-	// other failure. (Granularity is per round: a single Step that never
-	// returns cannot be preempted cooperatively.)
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels runs: its cancellation or deadline is
-	// checked at every round boundary and surfaces as ErrDeadline. Unlike
-	// Deadline (which restarts per run), one context bounds every run on
-	// the Network, so a multi-phase pipeline shares a single budget.
+	// Ctx, when non-nil, is the only way to stop a run early: its
+	// cancellation or deadline is checked at every round boundary and
+	// surfaces as ErrDeadline, so a run never outlives the context by more
+	// than the round in progress; metrics report how far the run got, like
+	// every other failure. (Granularity is per round: a single Step that
+	// never returns cannot be preempted cooperatively.) One context bounds
+	// every run on the Network, so a multi-phase pipeline shares a single
+	// budget; a wall-clock budget is context.WithTimeout.
 	Ctx context.Context
 	// Hooks, when non-nil, intercepts engine events for fault injection
 	// (see internal/chaos). Production runs leave it nil; the nil check is

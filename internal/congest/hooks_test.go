@@ -50,15 +50,21 @@ func (s *sleepyStep) Step(nd *Node, round int, in []Incoming) bool {
 }
 
 // TestDeadlineEnforced: on every engine and both program forms, a run whose
-// program outlives Config.Deadline fails with ErrDeadline at a round
-// boundary, and its metrics still report the progress it made. Timing
+// program outlives a context.WithTimeout budget fails with ErrDeadline at a
+// round boundary, and its metrics still report the progress it made. Timing
 // assertions stay loose (the check has per-round granularity by contract).
 func TestDeadlineEnforced(t *testing.T) {
 	g := graph.Cycle(9)
 	deadline := 30 * time.Millisecond
 	for _, eng := range Engines() {
-		cfg := Config{Engine: eng, Deadline: deadline, MaxRounds: 1 << 20}
-		check := func(form string, m Metrics, err error, elapsed time.Duration) {
+		// run gives each program form its own budget, started just before
+		// the run like a caller's context.WithTimeout.
+		run := func(form string, solve func(Config) (Metrics, error)) {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			m, err := solve(Config{Engine: eng, Ctx: ctx, MaxRounds: 1 << 20})
+			elapsed := time.Since(start)
 			if !errors.Is(err, ErrDeadline) {
 				t.Errorf("%v %s: err=%v, want ErrDeadline", eng, form, err)
 			}
@@ -72,21 +78,20 @@ func TestDeadlineEnforced(t *testing.T) {
 				t.Errorf("%v %s: run took %v against a %v deadline", eng, form, elapsed, deadline)
 			}
 		}
-		start := time.Now()
-		m, err := NewNetwork(g, cfg).Run(func(nd *Node) {
-			for {
-				if nd.V() == 0 {
-					time.Sleep(time.Millisecond)
+		run("blocking", func(cfg Config) (Metrics, error) {
+			return NewNetwork(g, cfg).Run(func(nd *Node) {
+				for {
+					if nd.V() == 0 {
+						time.Sleep(time.Millisecond)
+					}
+					nd.Broadcast([]byte{1})
+					nd.Sync()
 				}
-				nd.Broadcast([]byte{1})
-				nd.Sync()
-			}
+			})
 		})
-		check("blocking", m, err, time.Since(start))
-
-		start = time.Now()
-		m, err = NewNetwork(g, cfg).RunStepped(func(nd *Node) StepProgram { return &sleepyStep{} })
-		check("stepped", m, err, time.Since(start))
+		run("stepped", func(cfg Config) (Metrics, error) {
+			return NewNetwork(g, cfg).RunStepped(func(nd *Node) StepProgram { return &sleepyStep{} })
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"congestds/internal/graph"
 )
@@ -202,11 +201,10 @@ type steppedWorker struct {
 
 // steppedEngine coordinates one stepped run.
 type steppedEngine struct {
-	net      *Network
-	topo     *topology
-	round    int       // deliveries performed; written only by the driver between sweeps
-	deadline time.Time // absolute Config.Deadline instant; zero when unset
-	fp       uint32    // graph fingerprint; computed only for checkpointed runs
+	net   *Network
+	topo  *topology
+	round int    // deliveries performed; written only by the driver between sweeps
+	fp    uint32 // graph fingerprint; computed only for checkpointed runs
 	// recs[(round+1)&1] is the write record array during the current sweep;
 	// recs[round&1] holds the records being delivered from it. 8 B per
 	// directed edge per parity, vs 24 B for a [][]byte slot array.
@@ -245,7 +243,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 // exactly the state a round boundary carries forward.
 func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error) {
 	n := net.g.N()
-	eng := &steppedEngine{net: net, deadline: net.runDeadline()}
+	eng := &steppedEngine{net: net}
 	eng.metrics.Model = net.cfg.Model
 	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
@@ -369,7 +367,7 @@ func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error
 			break
 		}
 		eng.round++ // delivery: the record arrays trade roles by parity
-		roundErr := net.checkRound(eng.round, eng.deadline)
+		roundErr := net.checkRound(eng.round)
 		if eng.obs != nil {
 			// RoundEnd fires iff the round counter advanced — even when
 			// checkRound just failed the round (matching the blocking

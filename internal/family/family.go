@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -34,12 +33,11 @@ type Params struct {
 	// DiamBound is the known diameter upper bound for families that run an
 	// orientation phase (zero: the family's safe default, typically n).
 	DiamBound int
-	// Deadline, when positive, bounds the solve's wall clock; overruns
-	// surface as congest.ErrDeadline (see congest.Config.Deadline; the
-	// paper's multi-run pipeline applies it as one context timeout).
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels the family's simulated runs: one context
-	// bounds the whole solve, even when it spans several runs.
+	// Ctx, when non-nil, is the only way to stop a solve early: one
+	// context bounds the whole solve, even when it spans several simulated
+	// runs, and its cancellation or deadline surfaces as
+	// congest.ErrDeadline. A wall-clock budget is the caller's
+	// context.WithTimeout, so it starts when the caller creates it.
 	Ctx context.Context
 	// CkptPath enables checkpoint/resume for families whose solver runs as
 	// a single checkpointable stepped program (currently arbmds): the run
@@ -58,7 +56,7 @@ type Params struct {
 
 // Key returns the canonical equality key of the parameters that determine
 // a family's certified output: Eps, Sim, MaxRounds and DiamBound. The
-// execution-context fields — Deadline, Ctx, Observer, CkptPath, CkptEvery
+// execution-context fields — Ctx, Observer, CkptPath, CkptEvery
 // — are deliberately excluded: they decide whether and how a run executes,
 // never what a successful run produces (checkpoint resume and observer
 // attachment are byte-identity-preserving by tested contract). Two Params

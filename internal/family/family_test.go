@@ -1,10 +1,11 @@
 package family
 
 import (
+	"context"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -98,7 +99,7 @@ func TestParamsKeyCanonicalEquality(t *testing.T) {
 				t.Errorf("eps=%g collides with the default key %q", f.DefaultEps/2, zero.Key())
 			}
 			// Execution-context fields never reach the key.
-			ctxed := f.Canon(Params{Deadline: time.Second, CkptPath: "x.ckpt", CkptEvery: 7})
+			ctxed := f.Canon(Params{Ctx: context.Background(), CkptPath: "x.ckpt", CkptEvery: 7})
 			if ctxed.Key() != zero.Key() {
 				t.Errorf("execution-context fields leaked into the key: %q vs %q",
 					ctxed.Key(), zero.Key())
@@ -157,6 +158,49 @@ func TestCanonPreservesSolve(t *testing.T) {
 					raw.Set, canon.Set, raw.Rounds, canon.Rounds)
 			}
 		})
+	}
+}
+
+// TestCkptMisuseIsConfig: a checkpoint request a family cannot honour (a
+// family that never checkpoints, or arbmds off the stepped engine) is caller
+// misuse, so every family reports it with the config sentinel class.
+func TestCkptMisuseIsConfig(t *testing.T) {
+	g := graph.GNPConnected(30, 0.15, 11)
+	for _, name := range Names() {
+		f, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			_, err := f.Solve(g, Params{Sim: congest.EngineGoroutine, CkptPath: path})
+			if got := congest.SentinelClass(err); got != "config" {
+				t.Errorf("class %q (err=%v), want config", got, err)
+			}
+		})
+	}
+}
+
+// TestEveryFamilyStopsOnContext: Params.Ctx is the one way to stop a solve,
+// so an already-cancelled context must fail every family on every engine
+// with the deadline sentinel class.
+func TestEveryFamilyStopsOnContext(t *testing.T) {
+	g := graph.GNPConnected(30, 0.15, 11)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range Names() {
+		f, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range congest.Engines() {
+			t.Run(name+"/"+eng.String(), func(t *testing.T) {
+				_, err := f.Solve(g, Params{Sim: eng, Ctx: ctx})
+				if got := congest.SentinelClass(err); got != "deadline" {
+					t.Errorf("class %q (err=%v), want deadline", got, err)
+				}
+			})
+		}
 	}
 }
 

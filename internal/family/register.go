@@ -1,8 +1,6 @@
 package family
 
 import (
-	"cmp"
-	"context"
 	"fmt"
 
 	"congestds/internal/arbmds"
@@ -79,11 +77,6 @@ func init() {
 				if p.Eps <= 0 {
 					p.Eps = 0.5
 				}
-				if p.Deadline > 0 { // one budget for the whole multi-run pipeline
-					ctx, cancel := context.WithTimeout(cmp.Or(p.Ctx, context.Background()), p.Deadline)
-					defer cancel()
-					p.Ctx = ctx
-				}
 				mp := mds.Params{Eps: p.Eps, Engine: row.engine, Sim: p.Sim, Ctx: p.Ctx, Observer: p.Observer}
 				out := &Result{}
 				var bound float64
@@ -124,8 +117,7 @@ func init() {
 			}
 			res, err := arbmds.Solve(g, arbmds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds,
-				Deadline: p.Deadline, Ctx: p.Ctx,
-				CkptPath: p.CkptPath, CkptEvery: p.CkptEvery,
+				Ctx: p.Ctx, CkptPath: p.CkptPath, CkptEvery: p.CkptEvery,
 				Observer: p.Observer,
 			})
 			if err != nil {
@@ -155,11 +147,11 @@ func init() {
 				eps = 0.5
 			}
 			if p.CkptPath != "" {
-				return nil, fmt.Errorf("family: mcds does not support checkpointing (CkptPath set)")
+				return nil, fmt.Errorf("%w: mcds does not support checkpointing (CkptPath set)", congest.ErrConfig)
 			}
 			res, err := mcds.Solve(g, mcds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, DiamBound: p.DiamBound,
-				Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+				Ctx: p.Ctx, Observer: p.Observer,
 			})
 			if err != nil {
 				return nil, err

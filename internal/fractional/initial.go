@@ -89,11 +89,7 @@ func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CF
 
 	// Lemma 2.1 floor: value floor ε/(2Δ̃) keeps the approximation within
 	// (1+ε) because OPT ≥ n/Δ̃, and makes the solution ε/(2Δ̃)-fractional.
-	floor := ctx.FromRatio(1, 2*deltaTilde, false)
-	floor = ctx.MulUp(floor, ctx.FromFloat(p.Eps))
-	if floor == 0 {
-		floor = ctx.Eps()
-	}
+	floor := FloorValue(ctx, p.Eps, p.MaxDegree)
 	f := NewFDS(ctx, n)
 	for v := range x {
 		f.X[v] = fixpoint.Max(x[v], floor)
@@ -204,7 +200,8 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 }
 
 // FloorValue returns the Lemma 2.1 fractionality floor ε/(2Δ̃) in ctx's
-// scale (exported for tests and the experiment harness).
+// scale, never below one ulp (ctx.Eps()). Initial raises every value to
+// it; it is exported for tests and the experiment harness.
 func FloorValue(ctx fixpoint.Ctx, eps float64, maxDegree int) fixpoint.Value {
 	fl := ctx.FromRatio(1, 2*uint64(maxDegree+1), false)
 	fl = ctx.MulUp(fl, ctx.FromFloat(eps))

@@ -13,9 +13,10 @@ import (
 // (any package-level rand function — seeded rand.New(rand.NewSource(s))
 // values remain fine), process identity (os.Getpid/Getppid), and select
 // statements with two or more communication cases (the runtime picks a
-// ready case pseudo-randomly). Engine code that is wall-clock-dependent
-// by design — the Config.Deadline check — carries reviewed
-// //detlint:allow nondet annotations instead. The obs package alone gets
+// ready case pseudo-randomly). A line that is entropy-dependent by design
+// must carry a reviewed //detlint:allow nondet annotation; no production
+// code needs one, since wall-clock budgets reach the engines only as a
+// caller's context (congest.Config.Ctx). The obs package alone gets
 // a standing wall-clock carve-out (timestamping telemetry is its charter;
 // docs/ARCHITECTURE.md#observability) — every other ban still applies
 // there, keeping traces rand- and pid-free.

@@ -48,8 +48,8 @@ func pollSelect(a chan int) int {
 	}
 }
 
-func deadlineByDesign() time.Time {
-	//detlint:allow nondet Config.Deadline is wall-clock by contract, see docs/ARCHITECTURE.md#static-guarantees
+func wallClockByDesign() time.Time {
+	//detlint:allow nondet a reviewed wall-clock read, see docs/ARCHITECTURE.md#static-guarantees
 	return time.Now()
 }
 

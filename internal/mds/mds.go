@@ -66,6 +66,11 @@ const (
 	Theory
 )
 
+// maxPhases caps Part II (a safety net: the fractionality doubles each
+// phase, so ~log₂Δ phases suffice); Solve fails with a convergence error
+// past it.
+const maxPhases = 64
+
 // Params configures Solve.
 type Params struct {
 	// Eps is the ε of Theorems 1.1/1.2; the approximation guarantee is
@@ -75,9 +80,6 @@ type Params struct {
 	Engine Engine
 	// Preset selects Theory or Practical constants.
 	Preset Preset
-	// MaxPhases caps Part II (safety; the fractionality doubles each phase,
-	// so ~log₂Δ phases suffice). Zero means 64.
-	MaxPhases int
 	// Sim selects the congest execution engine that simulates the measured
 	// phases (congest.EngineGoroutine or congest.EngineStepped; the Part I
 	// covering program is written in stepped form, so under EngineStepped it
@@ -85,9 +87,10 @@ type Params struct {
 	// round counts — the conformance suite holds the engines byte-identical
 	// — only wall-clock speed and memory. Zero means congest.EngineGoroutine.
 	Sim congest.Engine
-	// Ctx, when non-nil, cancels the pipeline's simulated runs at round
-	// boundaries (congest.ErrDeadline). One context bounds the whole
-	// multi-part solve: Part I and every Part II phase share the budget.
+	// Ctx, when non-nil, is the only way to stop the pipeline early: its
+	// cancellation or deadline stops the simulated runs at round boundaries
+	// (congest.ErrDeadline). One context bounds the whole multi-part solve:
+	// Part I and every Part II phase share the budget.
 	Ctx context.Context
 	// Observer, when non-nil, receives per-round telemetry from every
 	// simulated run of the pipeline (each run appears as one segment on the
@@ -131,9 +134,6 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	}
 	if p.Engine == 0 {
 		p.Engine = EngineColoring
-	}
-	if p.MaxPhases == 0 {
-		p.MaxPhases = 64
 	}
 	n := g.N()
 	res := &Result{Ledger: &congest.Ledger{}}
@@ -213,7 +213,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		if r <= fTarget {
 			break
 		}
-		if phase >= p.MaxPhases {
+		if phase >= maxPhases {
 			return nil, fmt.Errorf("mds: part II did not converge after %d phases (r=%d, target=%d)",
 				phase, r, fTarget)
 		}

@@ -5,10 +5,11 @@
 // (profile.go) and a Chrome trace-event exporter (chrome.go).
 //
 // The division of labour is strict: the engines are deterministic packages
-// whose only wall-clock reads are the audited Deadline checks, so their
-// callbacks carry counters only; the Recorder here is the single place a
-// telemetry timestamp is taken (the nondet analyzer grants exactly this
-// package a wall-clock exemption, see internal/lint). Every sink sees the
+// that never read the clock (a wall-clock budget reaches them only as a
+// caller's context), so their callbacks carry counters only; the Recorder
+// here is the single place a telemetry timestamp is taken (the nondet
+// analyzer grants exactly this package a wall-clock exemption, see
+// internal/lint). Every sink sees the
 // same stamped records, which is why a JSONL trace replayed through
 // Replay reproduces bit-identical profiles: the stamps travel with the
 // records instead of being re-taken per sink.

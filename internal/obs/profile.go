@@ -115,9 +115,9 @@ func (a *Aggregator) Profile() Profile {
 	p.Segments = len(segs)
 	if len(walls) > 0 {
 		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		p.P50Ns = percentile(walls, 50)
-		p.P90Ns = percentile(walls, 90)
-		p.P99Ns = percentile(walls, 99)
+		p.P50Ns = Percentile(walls, 50)
+		p.P90Ns = Percentile(walls, 90)
+		p.P99Ns = Percentile(walls, 99)
 		p.MaxNs = walls[len(walls)-1]
 	}
 	slow := append([]RoundRec(nil), a.rounds...)
@@ -149,9 +149,10 @@ func (a *Aggregator) Profile() Profile {
 	return p
 }
 
-// percentile returns the nearest-rank q-th percentile of sorted (ascending)
-// samples.
-func percentile(sorted []int64, q int) int64 {
+// Percentile returns the nearest-rank q-th percentile of sorted (ascending)
+// samples, zero for none. Profile and the serving layer's /stats both use
+// it, so `mdsrun -profile` and /stats agree on what a percentile means.
+func Percentile(sorted []int64, q int) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -315,8 +316,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, certify boo
 	// Execution context threads into the run but never into the key: the
 	// leader's request drives a coalesced run, so its deadline and context
 	// bound every waiter's answer too (documented singleflight semantics).
-	p.Deadline = deadline
+	// This is the one place a request deadline becomes a context.
 	p.Ctx = r.Context()
+	if deadline > 0 {
+		ctx, cancel := context.WithTimeout(p.Ctx, deadline)
+		defer cancel()
+		p.Ctx = ctx
+	}
 
 	out, coalesced := s.flight.do(key, func() outcome { return s.runSolve(key, fam, res, p) })
 	state := "miss"

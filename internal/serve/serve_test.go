@@ -309,21 +309,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	for _, tc := range []struct {
-		q    int
-		want int64
-	}{{50, 50}, {90, 90}, {99, 100}, {100, 100}, {1, 10}} {
-		if got := percentile(sorted, tc.q); got != tc.want {
-			t.Errorf("percentile(q=%d) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("percentile(empty) = %d, want 0", got)
-	}
-}
-
 func TestEngineParamSelectsEngine(t *testing.T) {
 	// Same request with an explicit sim must produce the same certified
 	// answer (engines are conformant) but a distinct cache entry.

@@ -3,6 +3,8 @@ package serve
 import (
 	"sort"
 	"sync"
+
+	"congestds/internal/obs"
 )
 
 // sampleCap bounds the per-family percentile reservoirs: the most recent
@@ -130,32 +132,15 @@ func (c *counters) snapshot() Stats {
 		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 		s.Families[name] = FamilyStats{
 			Runs:      f.runs,
-			RoundsP50: percentile(rounds, 50),
-			RoundsP90: percentile(rounds, 90),
-			RoundsP99: percentile(rounds, 99),
-			RoundsMax: percentile(rounds, 100),
-			WallMsP50: ms(percentile(wall, 50)),
-			WallMsP90: ms(percentile(wall, 90)),
-			WallMsP99: ms(percentile(wall, 99)),
-			WallMsMax: ms(percentile(wall, 100)),
+			RoundsP50: obs.Percentile(rounds, 50),
+			RoundsP90: obs.Percentile(rounds, 90),
+			RoundsP99: obs.Percentile(rounds, 99),
+			RoundsMax: obs.Percentile(rounds, 100),
+			WallMsP50: ms(obs.Percentile(wall, 50)),
+			WallMsP90: ms(obs.Percentile(wall, 90)),
+			WallMsP99: ms(obs.Percentile(wall, 99)),
+			WallMsMax: ms(obs.Percentile(wall, 100)),
 		}
 	}
 	return s
-}
-
-// percentile returns the nearest-rank q-th percentile of sorted
-// (ascending) samples — the same rule obs.Profile uses, so /stats and
-// `mdsrun -profile` agree on what a percentile means.
-func percentile(sorted []int64, q int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (q*len(sorted) + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
